@@ -4,9 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// A/B benchmark for the memoized compatibility kernel, in two parts.
-///
-/// Part 1 (the headline number) is a refinement-heavy stress model built
+/// A/B benchmark for the memoized compatibility kernel on a
+/// refinement-heavy stress model built
 /// for the probe workload the cache targets: deeply nested polymorphic
 /// signatures (depth-kDepth generic spines), consumers whose slots share
 /// a type variable (so every pairwise probe of Definition 2(3) walks the
@@ -14,22 +13,16 @@
 /// under the rebuild-the-world refinement path - each rebuild re-asks the
 /// complete probe workload over interned types, which is exactly what the
 /// memo answers in O(1) after the first computation. Both sides run the
-/// identical configuration; the only difference is SynthOptions::Compat.
+/// identical configuration; the only difference is SynthOptions::Compat,
+/// and the bench fails if the two program streams differ. Real library
+/// runs always chain a cache onto their crate's shared analysis, so
+/// there is no library-level off side to compare.
 ///
-/// Part 2 runs the real library models through core::Session with the
-/// --no-compat-cache escape hatch as the off side. Shallow real-model
-/// types make direct unification nearly free, so no speedup is claimed
-/// here; this part exists to verify end-to-end stream identity (the cache
-/// must change throughput, never results) and to report production hit
-/// rates.
-///
-/// Writes BENCH_compat.json. Scale part 2 with SYRUST_BUDGET (simulated
-/// seconds per run, default 120) and SYRUST_SEEDS (default 3).
+/// Writes BENCH_compat.json.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "core/Session.h"
 #include "report/Table.h"
 #include "support/StringUtils.h"
 #include "synth/Synthesizer.h"
@@ -41,7 +34,6 @@
 
 using namespace syrust;
 using namespace syrust::bench;
-using namespace syrust::core;
 using namespace syrust::report;
 using namespace syrust::synth;
 
@@ -136,16 +128,12 @@ StressResult runStress(bool WithCache) {
 } // namespace
 
 int main() {
-  Session S;
-  double Budget = envBudget("SYRUST_BUDGET", 120.0);
-  int Seeds = static_cast<int>(envBudget("SYRUST_SEEDS", 3));
   banner("micro_compat",
-         "memoized compatibility kernel: cache on vs --no-compat-cache");
+         "memoized compatibility kernel: SynthOptions::Compat on vs off");
 
   BenchJson J("compat");
   bool StreamsIdentical = true;
 
-  // --- Part 1: refinement-heavy deep-polymorphic stress (headline). -----
   std::printf("deep-polymorphic refinement stress: depth %d, %d producers, "
               "%d consumers, %d rounds\n\n",
               kDepth, kProducers, kConsumers, kRounds);
@@ -184,88 +172,11 @@ int main() {
   J.meta("encoding_build_wall_seconds_cache_off",
          json::Value::number(Off.BuildSeconds));
   J.meta("encoding_build_speedup", json::Value::number(StressSpeedup));
-
-  // --- Part 2: real library models through the escape hatch. ------------
-  std::printf("library models: %.0f simulated seconds per run, %d seeds "
-              "per crate\n\n",
-              Budget, Seeds);
-  const char *Crates[] = {"smallvec", "bitvec", "crossbeam", "hashbrown"};
-  J.meta("budget_sim_seconds", json::Value::number(Budget));
-  J.meta("seeds_per_crate", json::Value::integer(Seeds));
-
-  Table T({"Library", "Seed", "Build s (cache)", "Build s (no cache)",
-           "Speedup", "Hit Rate", "Programs"});
-  double OnBuild = 0, OffBuild = 0, OnWall = 0, OffWall = 0;
-
-  for (const char *Crate : Crates) {
-    for (int I = 0; I < Seeds; ++I) {
-      RunConfig OnC;
-      OnC.BudgetSeconds = Budget;
-      OnC.Seed = 2021 + static_cast<uint64_t>(I);
-      RunConfig OffC = OnC;
-      OffC.UseCompatCache = false;
-
-      WallTimer WOn;
-      RunResult ROn = S.runOne(Crate, OnC);
-      double HostOn = WOn.seconds();
-      WallTimer WOff;
-      RunResult ROff = S.runOne(Crate, OffC);
-      double HostOff = WOff.seconds();
-
-      if (ROn.Synthesized != ROff.Synthesized ||
-          ROn.Rejected != ROff.Rejected ||
-          ROn.Executed != ROff.Executed) {
-        StreamsIdentical = false;
-        std::fprintf(stderr,
-                     "FAIL: %s seed %d diverged with the cache on\n",
-                     Crate, I);
-      }
-
-      std::string Label =
-          std::string(Crate) + "/seed" + std::to_string(2021 + I);
-      J.addRun(Label + "/cache-on", ROn, HostOn);
-      J.addRun(Label + "/no-cache", ROff, HostOff);
-      OnBuild += ROn.Synth.BuildSeconds;
-      OffBuild += ROff.Synth.BuildSeconds;
-      OnWall += HostOn;
-      OffWall += HostOff;
-
-      uint64_t Hits = ROn.Synth.CompatHits + ROn.Synth.CompatBaseHits;
-      uint64_t Probes = Hits + ROn.Synth.CompatMisses;
-      T.addRow({Crate, std::to_string(2021 + I),
-                format("%.4f", ROn.Synth.BuildSeconds),
-                format("%.4f", ROff.Synth.BuildSeconds),
-                ROn.Synth.BuildSeconds > 0
-                    ? format("x%.2f", ROff.Synth.BuildSeconds /
-                                          ROn.Synth.BuildSeconds)
-                    : "-",
-                Probes > 0 ? format("%.1f %%", 100.0 *
-                                                   static_cast<double>(
-                                                       Hits) /
-                                                   static_cast<double>(
-                                                       Probes))
-                           : "-",
-                format("%" PRIu64, ROn.Synthesized)});
-    }
-  }
-
-  double LibSpeedup = OnBuild > 0 ? OffBuild / OnBuild : 0;
-  J.meta("library_build_wall_seconds_cache_on",
-         json::Value::number(OnBuild));
-  J.meta("library_build_wall_seconds_cache_off",
-         json::Value::number(OffBuild));
-  J.meta("library_build_speedup", json::Value::number(LibSpeedup));
-  J.meta("host_wall_seconds_cache_on", json::Value::number(OnWall));
-  J.meta("host_wall_seconds_cache_off", json::Value::number(OffWall));
   J.meta("streams_identical", json::Value::boolean(StreamsIdentical));
 
-  std::printf("%s\n", T.render().c_str());
   std::printf("stress encoding-build wall time: %.4f s with cache, %.4f s "
               "without -> x%.2f speedup\n",
               On.BuildSeconds, Off.BuildSeconds, StressSpeedup);
-  std::printf("library encoding-build wall time: %.4f s with cache, "
-              "%.4f s without -> x%.2f\n",
-              OnBuild, OffBuild, LibSpeedup);
   std::printf("program streams identical: %s\n",
               StreamsIdentical ? "yes" : "NO - BUG");
   J.write();

@@ -4,9 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// A/B benchmark for graph-guided encoding pruning, in two parts.
-///
-/// Part 1 (the headline number) is a probe-dominated stress model: many
+/// A/B benchmark for graph-guided encoding pruning on a probe-dominated
+/// stress model: many
 /// producers minting distinct concrete types and single-input consumers
 /// each accepting exactly one of them, so candidate enumeration asks a
 /// large number of per-slot probes of which most FAIL (no clause work
@@ -19,22 +18,17 @@
 /// The rebuild-the-world refinement path (incremental refinement off,
 /// interleaved lengths, a no-op database notification per round) forces
 /// every round to rebuild all live encodings and re-ask the whole probe
-/// workload.
+/// workload. The bench fails if the two program streams differ. Real
+/// library runs are checked on/off in-process over every crate
+/// (GraphPruneIdentityTest), and their production probe split is in
+/// every run document (synth.prune.*).
 ///
-/// Part 2 runs real library models through core::Session with the
-/// --no-graph-prune escape hatch as the off side. Real-model probe
-/// volume is modest, so no speedup is claimed here; this part verifies
-/// end-to-end stream identity (pruning must change throughput, never
-/// results) and reports production probe-avoidance rates.
-///
-/// Writes BENCH_prune.json. Scale part 2 with SYRUST_BUDGET (simulated
-/// seconds per run, default 120) and SYRUST_SEEDS (default 3).
+/// Writes BENCH_prune.json.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 #include "api/DependencyGraph.h"
-#include "core/Session.h"
 #include "report/Table.h"
 #include "support/StringUtils.h"
 #include "synth/Synthesizer.h"
@@ -47,7 +41,6 @@
 
 using namespace syrust;
 using namespace syrust::bench;
-using namespace syrust::core;
 using namespace syrust::report;
 using namespace syrust::synth;
 
@@ -122,16 +115,12 @@ double avoidancePercent(const PruneStats &P) {
 } // namespace
 
 int main() {
-  Session S;
-  double Budget = envBudget("SYRUST_BUDGET", 120.0);
-  int Seeds = static_cast<int>(envBudget("SYRUST_SEEDS", 3));
   banner("micro_prune",
-         "graph-guided encoding pruning: graph on vs --no-graph-prune");
+         "graph-guided encoding pruning: SynthOptions::GraphPrune on vs off");
 
   BenchJson J("prune");
   bool StreamsIdentical = true;
 
-  // --- Part 1: probe-dominated stress (headline). -----------------------
   std::printf("probe-dominated rebuild stress: %d producers, %d consumers "
               "(+%d dead), %d rounds, %d lines\n\n",
               kProducers, kConsumers, kDeadApis, kRounds, kMaxLines);
@@ -219,74 +208,8 @@ int main() {
          json::Value::number(Off.BuildSeconds));
   J.meta("encoding_build_speedup", json::Value::number(StressSpeedup));
 
-  // --- Part 2: real library models through the escape hatch. ------------
-  std::printf("library models: %.0f simulated seconds per run, %d seeds "
-              "per crate\n\n",
-              Budget, Seeds);
-  const char *Crates[] = {"slab", "smallvec", "hashbrown"};
-  J.meta("budget_sim_seconds", json::Value::number(Budget));
-  J.meta("seeds_per_crate", json::Value::integer(Seeds));
-
-  Table T({"Library", "Seed", "Build s (graph)", "Build s (no graph)",
-           "Probe Avoidance", "Dead Sites", "Programs"});
-  double OnBuild = 0, OffBuild = 0, OnWall = 0, OffWall = 0;
-
-  for (const char *Crate : Crates) {
-    for (int I = 0; I < Seeds; ++I) {
-      RunConfig OnC;
-      OnC.BudgetSeconds = Budget;
-      OnC.Seed = 2021 + static_cast<uint64_t>(I);
-      RunConfig OffC = OnC;
-      OffC.GraphPrune = false;
-
-      WallTimer WOn;
-      RunResult ROn = S.runOne(Crate, OnC);
-      double HostOn = WOn.seconds();
-      WallTimer WOff;
-      RunResult ROff = S.runOne(Crate, OffC);
-      double HostOff = WOff.seconds();
-
-      if (ROn.Synthesized != ROff.Synthesized ||
-          ROn.Rejected != ROff.Rejected ||
-          ROn.Executed != ROff.Executed ||
-          ROn.Synth.SolverConflicts != ROff.Synth.SolverConflicts ||
-          ROn.Synth.PruneDeadSites != ROff.Synth.PruneDeadSites) {
-        StreamsIdentical = false;
-        std::fprintf(stderr,
-                     "FAIL: %s seed %d diverged with graph pruning on\n",
-                     Crate, I);
-      }
-
-      std::string Label =
-          std::string(Crate) + "/seed" + std::to_string(2021 + I);
-      J.addRun(Label + "/graph-on", ROn, HostOn);
-      J.addRun(Label + "/no-graph", ROff, HostOff);
-      OnBuild += ROn.Synth.BuildSeconds;
-      OffBuild += ROff.Synth.BuildSeconds;
-      OnWall += HostOn;
-      OffWall += HostOff;
-
-      PruneStats RunPrune;
-      RunPrune.GraphProbes = ROn.Synth.PruneGraphProbes;
-      RunPrune.FallbackProbes = ROn.Synth.PruneFallbackProbes;
-      T.addRow({Crate, std::to_string(2021 + I),
-                format("%.4f", ROn.Synth.BuildSeconds),
-                format("%.4f", ROff.Synth.BuildSeconds),
-                format("%.1f %%", avoidancePercent(RunPrune)),
-                format("%" PRIu64, ROn.Synth.PruneDeadSites),
-                format("%" PRIu64, ROn.Synthesized)});
-    }
-  }
-
-  J.meta("library_build_wall_seconds_graph_on",
-         json::Value::number(OnBuild));
-  J.meta("library_build_wall_seconds_graph_off",
-         json::Value::number(OffBuild));
-  J.meta("host_wall_seconds_graph_on", json::Value::number(OnWall));
-  J.meta("host_wall_seconds_graph_off", json::Value::number(OffWall));
   J.meta("streams_identical", json::Value::boolean(StreamsIdentical));
 
-  std::printf("%s\n", T.render().c_str());
   std::printf("stress encoding-build wall time: %.4f s with graph, %.4f s "
               "without -> x%.2f speedup\n",
               On.BuildSeconds, Off.BuildSeconds, StressSpeedup);

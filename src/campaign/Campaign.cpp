@@ -40,28 +40,15 @@ bool syrust::campaign::applyVariant(const std::string &Name,
     Config.MutateInputs = true; // Section 7.4.2.
     return true;
   }
-  if (Name == "no-incremental") {
-    Config.IncrementalRefinement = false;
-    return true;
-  }
-  if (Name == "no-compat-cache") {
-    Config.UseCompatCache = false; // A/B against the memoized kernel.
-    return true;
-  }
   if (Name == "portfolio") {
     Config.Portfolio = true; // Strategy racing; streams stay identical.
-    return true;
-  }
-  if (Name == "no-graph-prune") {
-    Config.GraphPrune = false; // A/B against graph-guided probes.
     return true;
   }
   if (Name == "coverage-bias") {
     // Coverage-guided enumeration bias. Unlike the variants above, this
     // deliberately *changes* the emitted stream (see DESIGN.md 5h). The
     // biased episode leg only exists in interleaved mode, so the variant
-    // forces it on; TrackApiCoverage is the RunConfig default and is
-    // required by validate().
+    // forces it on.
     Config.BiasCoverage = true;
     Config.InterleaveLengths = true;
     return true;
@@ -96,8 +83,7 @@ CampaignSpec::validate(const Session &S) const {
       Errors.push_back("CampaignSpec.Variants names unknown variant '" +
                        V +
                        "'; known: base, no-semantic, eager, lazy, "
-                       "interleave, mutate-inputs, no-incremental, "
-                       "no-compat-cache, portfolio, no-graph-prune, "
+                       "interleave, mutate-inputs, portfolio, "
                        "coverage-bias");
   }
   if (Jobs < 1)

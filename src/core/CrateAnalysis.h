@@ -25,6 +25,10 @@
 ///     "can this value feed this input" probes and the joint two-slot
 ///     probes of Definition 2(3).
 ///
+/// It is the one place a run's setup comes from: the driver, the audit
+/// oracle and the coverage renderer take their instance, chained cache
+/// and dependency graph from here.
+///
 /// Workers call makeWorkerInstance() for a private copy-on-write overlay
 /// (chained arena, copied database/traits/semantics) and chain a private
 /// CompatCache onto baseCache(): probes over base types hit the shared

@@ -73,8 +73,9 @@ public:
 
   /// The shared analysis for \p Spec, built on first request (thread
   /// safe; later requests reuse it). runOne() calls this for every
-  /// cache-enabled run; exposed so tests and benches can inspect the
-  /// shared state directly.
+  /// synthesizable run, auditOne() for every audit and the coverage
+  /// renderer for every crate it lists; exposed so tests and benches can
+  /// inspect the shared state directly.
   std::shared_ptr<const CrateAnalysis>
   analysisFor(const crates::CrateSpec &Spec) const;
 

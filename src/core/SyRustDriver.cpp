@@ -68,11 +68,6 @@ std::vector<std::string> RunConfig::validate() const {
     Errors.push_back("RunConfig.Strategy '" + Strategy +
                      "' is not a known solver strategy (known: " +
                      sat::knownStrategyNames() + ")");
-  if (BiasCoverage && !TrackApiCoverage)
-    Errors.push_back(
-        "RunConfig.BiasCoverage requires TrackApiCoverage: bias reads "
-        "never-covered edges live from the coverage bitsets "
-        "(drop --no-api-coverage or --bias-coverage)");
   return Errors;
 }
 
@@ -178,18 +173,18 @@ std::vector<ApiId> syrust::core::selectApiSubset(
   return Selected;
 }
 
-void SyRustDriver::selectApis(CrateInstance &Inst,
-                              const api::DependencyGraph *Graph,
-                              Rng &R) const {
+void syrust::core::selectApis(CrateInstance &Inst, int NumApis,
+                              const api::DependencyGraph *BiasGraph,
+                              Rng &R) {
   ApiSelectionOptions Opts;
   Opts.Pinned = Inst.Pinned;
-  Opts.NumApis = Config.NumApis;
+  Opts.NumApis = NumApis;
   // --bias-coverage: weight the draw by never-covered incident degree.
   // At run start the coverage document is all-zero, so a null Coverage
   // (every edge never covered) is exact; campaign workers inherit no
   // cross-run bits by design - each cell stays a pure function of
   // (crate, seed, variant).
-  Opts.Graph = Graph;
+  Opts.Graph = BiasGraph;
   Opts.Coverage = nullptr;
   std::vector<ApiId> Selected = selectApiSubset(Inst.Db, Opts, R);
   // Unselected APIs are disabled for this run (builtins always stay).
@@ -213,53 +208,20 @@ RunResult SyRustDriver::run() {
     return Result;
   }
 
-  // With a shared analysis, work on a copy-on-write overlay of the
-  // frozen base instance instead of re-instantiating the whole model;
-  // either way the run owns its instance outright. The compatibility
-  // cache is per-run (per campaign job) and chains onto the shared
-  // precomputed matrix when one exists, so probe counts depend only on
-  // this run's own work - never on scheduling.
-  std::unique_ptr<CrateInstance> Inst =
-      Analysis ? Analysis->makeWorkerInstance() : Spec->instantiate();
-  std::unique_ptr<types::CompatCache> Compat;
-  if (Config.UseCompatCache)
-    Compat = std::make_unique<types::CompatCache>(
-        Analysis ? &Analysis->baseCache() : nullptr);
+  // Every run works on the crate's shared analysis: an overlay of the
+  // frozen base instance, a private cache chained onto the precomputed
+  // matrix (so probe counts depend only on this run's own work, never
+  // on scheduling), and the frozen graph for coverage, graph-guided
+  // probes and bias-mode API selection.
+  if (!Analysis)
+    Analysis = std::make_shared<const CrateAnalysis>(*Spec);
+  std::unique_ptr<CrateInstance> Inst = Analysis->makeWorkerInstance();
+  types::CompatCache Compat(&Analysis->baseCache());
+  const api::DependencyGraph &Graph = Analysis->graph();
   Rng R(Config.Seed ^ std::hash<std::string>{}(Spec->Info.Name));
-
-  // The crate's frozen dependency graph serves three consumers: API-pair
-  // coverage marking, the encoder's graph-guided pruning, and (bias mode
-  // only) coverage-weighted API selection. With a shared analysis the
-  // graph is precomputed; otherwise build it here against a scratch
-  // cache - never the run's Compat, whose compat.cache.* counters must
-  // reflect only synthesis probes. Bias mode needs the graph before
-  // selectApis; everyone else acquires it afterwards, exactly where the
-  // bias-off pipeline always built it (buildDependencyGraph ignores
-  // bans, so both orders see identical edges, but arena type-interning
-  // order stays untouched on the bias-off path).
-  api::DependencyGraph LocalGraph;
-  const api::DependencyGraph *Graph = nullptr;
-  std::unique_ptr<coverage::ApiPairCoverage> ApiCov;
-  auto AcquireGraph = [&]() {
-    if (Graph)
-      return;
-    if (Analysis) {
-      Graph = &Analysis->graph();
-    } else {
-      types::CompatCache Scratch;
-      LocalGraph = api::buildDependencyGraph(Inst->Db, Inst->Arena, Scratch);
-      Graph = &LocalGraph;
-    }
-  };
-  if (Config.BiasCoverage)
-    AcquireGraph();
-  selectApis(*Inst, Config.BiasCoverage ? Graph : nullptr, R);
-
-  if (Config.TrackApiCoverage || Config.GraphPrune) {
-    AcquireGraph();
-    if (Config.TrackApiCoverage)
-      ApiCov = std::make_unique<coverage::ApiPairCoverage>(*Graph);
-  }
+  selectApis(*Inst, Config.NumApis, Config.BiasCoverage ? &Graph : nullptr,
+             R);
+  coverage::ApiPairCoverage ApiCov(Graph);
 
   SimClock Clock;
   if (Obs) {
@@ -286,8 +248,8 @@ RunResult SyRustDriver::run() {
     Opts.SolveConflictBudget = Config.SolveConflictBudget;
   Opts.SolverSeed = Config.Seed;
   Opts.Obs = Obs;
-  Opts.Compat = Compat.get();
-  Opts.Graph = Graph;
+  Opts.Compat = &Compat;
+  Opts.Graph = &Graph;
   Opts.GraphPrune = Config.GraphPrune;
   Opts.BiasCoverage = Config.BiasCoverage;
   Opts.BiasSeed = Config.Seed;
@@ -330,16 +292,13 @@ RunResult SyRustDriver::run() {
     // snapshot row carries the full coverage.api.* set from t=0. The
     // matrix gauge is observability for the shared analysis; gauges are
     // not campaign-merged, so per-run it is simply the frozen size.
-    if (ApiCov) {
-      const coverage::ApiCoverageData D0 = ApiCov->data();
-      Obs->count("coverage.api.nodes_total", D0.NodesTotal);
-      Obs->count("coverage.api.edges_total", D0.EdgesTotal);
-      Obs->count("coverage.api.nodes_covered", 0);
-      Obs->count("coverage.api.edges_covered", 0);
-    }
-    if (Analysis)
-      Obs->gaugeSet("compat.matrix.entries",
-                    static_cast<double>(Analysis->matrixEntries()));
+    const coverage::ApiCoverageData D0 = ApiCov.data();
+    Obs->count("coverage.api.nodes_total", D0.NodesTotal);
+    Obs->count("coverage.api.edges_total", D0.EdgesTotal);
+    Obs->count("coverage.api.nodes_covered", 0);
+    Obs->count("coverage.api.edges_covered", 0);
+    Obs->gaugeSet("compat.matrix.entries",
+                  static_cast<double>(Analysis->matrixEntries()));
   }
 
   double NextSnapshot = Config.SnapshotInterval;
@@ -389,20 +348,18 @@ RunResult SyRustDriver::run() {
     ++Result.Synthesized;
     if (Obs)
       Obs->count("driver.synthesized");
-    if (ApiCov) {
-      const coverage::ApiPairCoverage::MarkDelta Delta =
-          ApiCov->markProgram(*P, Inst->Db);
-      if (Config.BiasCoverage)
-        Synth.noteCoverage(static_cast<int>(P->Stmts.size()),
-                           Delta.NewEdges, Clock.now());
-      if (Obs) {
-        if (Delta.NewNodes)
-          Obs->count("coverage.api.nodes_covered", Delta.NewNodes);
-        if (Delta.NewEdges)
-          Obs->count("coverage.api.edges_covered", Delta.NewEdges);
-        if (Delta.Unmatched)
-          Obs->count("coverage.api.unmatched_edges", Delta.Unmatched);
-      }
+    const coverage::ApiPairCoverage::MarkDelta Delta =
+        ApiCov.markProgram(*P, Inst->Db);
+    if (Config.BiasCoverage)
+      Synth.noteCoverage(static_cast<int>(P->Stmts.size()), Delta.NewEdges,
+                         Clock.now());
+    if (Obs) {
+      if (Delta.NewNodes)
+        Obs->count("coverage.api.nodes_covered", Delta.NewNodes);
+      if (Delta.NewEdges)
+        Obs->count("coverage.api.edges_covered", Delta.NewEdges);
+      if (Delta.Unmatched)
+        Obs->count("coverage.api.unmatched_edges", Delta.Unmatched);
     }
 
     // Test executor stage 1: compile.
@@ -517,8 +474,7 @@ RunResult SyRustDriver::run() {
     while (Clock.now() >= NextSnapshot &&
            NextSnapshot <= Config.BudgetSeconds) {
       Cov.snapshot(NextSnapshot);
-      if (ApiCov)
-        ApiCov->snapshot(NextSnapshot);
+      ApiCov.snapshot(NextSnapshot);
       if (Obs)
         Obs->snapshotMetrics(NextSnapshot);
       NextSnapshot += Config.SnapshotInterval;
@@ -526,25 +482,20 @@ RunResult SyRustDriver::run() {
   }
   SampleCurve(); // Terminal point (skipped if this instant was sampled).
   Cov.snapshot(Clock.now());
-  if (ApiCov)
-    ApiCov->snapshot(Clock.now());
+  ApiCov.snapshot(Clock.now());
 
   Result.Coverage = Cov.numbers();
   Result.CoverageSnaps = Cov.snapshots();
   Result.CoverageSaturation = Cov.saturationTime();
   Result.Synth = Synth.stats();
-  if (Compat) {
-    const types::CompatCache::Stats &CS = Compat->stats();
-    Result.Synth.CompatHits = CS.Hits;
-    Result.Synth.CompatBaseHits = CS.BaseHits;
-    Result.Synth.CompatMisses = CS.Misses;
-    if (Obs) {
-      Obs->count("compat.cache.hits", CS.Hits);
-      Obs->count("compat.cache.base_hits", CS.BaseHits);
-      Obs->count("compat.cache.misses", CS.Misses);
-    }
-  }
+  const types::CompatCache::Stats &CS = Compat.stats();
+  Result.Synth.CompatHits = CS.Hits;
+  Result.Synth.CompatBaseHits = CS.BaseHits;
+  Result.Synth.CompatMisses = CS.Misses;
   if (Obs) {
+    Obs->count("compat.cache.hits", CS.Hits);
+    Obs->count("compat.cache.base_hits", CS.BaseHits);
+    Obs->count("compat.cache.misses", CS.Misses);
     Obs->count("synth.prune.graph_probes", Result.Synth.PruneGraphProbes);
     Obs->count("synth.prune.fallback_probes",
                Result.Synth.PruneFallbackProbes);
@@ -560,8 +511,7 @@ RunResult SyRustDriver::run() {
       Obs->count("synth.bias.decays", Result.Synth.BiasDecays);
     }
   }
-  if (ApiCov)
-    Result.ApiCoverage = ApiCov->data();
+  Result.ApiCoverage = ApiCov.data();
   Result.Refine = Refine.stats();
   Result.ElapsedSeconds = Clock.now();
   if (Obs) {

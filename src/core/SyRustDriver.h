@@ -64,7 +64,8 @@ struct RunConfig {
   /// Additive database refinements extend the live SAT encodings in
   /// place and blocked models persist across rebuilds, so the solver
   /// never re-walks already-emitted programs. Off = the historical
-  /// rebuild-the-world refinement path (kept for A/B comparison).
+  /// rebuild-the-world refinement path, a config-only toggle for
+  /// benches and tests.
   bool IncrementalRefinement = true;
 
   /// Polymorphism strategy; PurelyEager = the RQ3 variant.
@@ -114,30 +115,11 @@ struct RunConfig {
   /// (fills RunResult::MinimizedLines / MinimizedProgram).
   bool MinimizeBugs = false;
 
-  /// Memoized compatibility kernel + shared per-crate analysis. On, the
-  /// encoder answers repeated unifiability probes from a memo table and
-  /// Session-routed runs share one immutable instantiation per crate
-  /// (with private copy-on-write overlays); off - the --no-compat-cache
-  /// escape hatch - every run re-instantiates and recomputes every
-  /// probe. Emitted programs and all results are byte-identical either
-  /// way; only throughput (and the compat.cache.* counters) change.
-  bool UseCompatCache = true;
-
-  /// Track API-pair coverage: mark the crate's dependency graph
-  /// (api::DependencyGraph) as programs are emitted and export the
-  /// api_coverage document plus coverage.api.* counters. Cheap (a hash
-  /// lookup per argument wiring) and deterministic; the off switch
-  /// exists for overhead A/B benches.
-  bool TrackApiCoverage = true;
-
-  /// Graph-guided encoding pruning: the encoder answers candidate
-  /// probes from the frozen dependency graph's bitset rows (an O(1) bit
-  /// test instead of a CompatCache lookup). The graph's edge set is
-  /// exactly the probe-success set, so program streams and all result
-  /// documents are byte-identical on/off - only throughput and the
-  /// prune.* probe-split counters change (--no-graph-prune is the
-  /// escape hatch for A/B runs). Dead-site elimination in the encoder
-  /// is structural and unaffected by this switch.
+  /// Graph-guided encoding pruning (SynthOptions::GraphPrune): the
+  /// graph's edge set is exactly the probe-success set, so streams and
+  /// result documents are byte-identical on/off - only the prune.*
+  /// probe-split and compat.cache.* counters move. A config-only toggle
+  /// for benches and the identity tests.
   bool GraphPrune = true;
 
   /// Coverage-guided enumeration bias (--bias-coverage, off by
@@ -150,7 +132,7 @@ struct RunConfig {
   /// the way a coverage-guided fuzzer steers mutation. A fixed (crate,
   /// seed, variant) cell stays byte-identical for any --jobs because
   /// all re-weighting draws from the run's own Rng and decays on the
-  /// SimClock. Requires TrackApiCoverage (validate() enforces it).
+  /// SimClock.
   bool BiasCoverage = false;
 
   /// Route compiler diagnostics through the cargo-style JSON channel
@@ -216,7 +198,7 @@ struct RunResult {
   double CoverageSaturation = -1;
 
   /// API-pair coverage over the crate's dependency graph (empty when
-  /// RunConfig::TrackApiCoverage is off or the crate is unsupported).
+  /// the crate is unsupported).
   coverage::ApiCoverageData ApiCoverage;
 
   synth::SynthStats Synth;
@@ -277,6 +259,14 @@ std::vector<api::ApiId> selectApiSubset(const api::ApiDatabase &Db,
                                         const ApiSelectionOptions &Opts,
                                         Rng &R);
 
+/// Section 6.2 for one run: selectApiSubset over \p Inst's database
+/// (its pinned picks, \p NumApis, and the --bias-coverage leg when
+/// \p BiasGraph is set), then bans every unselected library API for the
+/// run; builtins always stay. The driver and the audit oracle share it,
+/// so an audit examines exactly the API subset a run would.
+void selectApis(crates::CrateInstance &Inst, int NumApis,
+                const api::DependencyGraph *BiasGraph, Rng &R);
+
 /// Runs the full pipeline for one library model.
 ///
 /// Movable and self-contained: the driver references the (immutable)
@@ -289,11 +279,12 @@ std::vector<api::ApiId> selectApiSubset(const api::ApiDatabase &Db,
 /// a driver directly is kept for tests that need the raw object.
 class SyRustDriver {
 public:
-  /// \p Analysis, when set, is the crate's shared immutable analysis
+  /// \p Analysis is the crate's shared immutable analysis
   /// (Session::runOne supplies it): the run works on a copy-on-write
-  /// overlay instance instead of a fresh instantiation, and its
-  /// compatibility cache chains onto the precomputed matrix. Null falls
-  /// back to a private instantiate() - results are identical.
+  /// overlay instance, its compatibility cache chains onto the
+  /// precomputed matrix, and coverage and pruning read its frozen graph.
+  /// Null makes run() build a private one - results, compat counters
+  /// included, are identical.
   SyRustDriver(const crates::CrateSpec &Spec, RunConfig Config,
                obs::Recorder *Obs = nullptr,
                std::shared_ptr<const CrateAnalysis> Analysis = nullptr)
@@ -307,9 +298,6 @@ public:
   RunResult run();
 
 private:
-  void selectApis(crates::CrateInstance &Inst,
-                  const api::DependencyGraph *Graph, Rng &R) const;
-
   const crates::CrateSpec *Spec;
   RunConfig Config;
   /// When set, bound to the run's SimClock and threaded through every

@@ -152,32 +152,15 @@ AuditResult syrust::oracle::auditOne(const Session &S,
     return Result;
   }
 
-  // Exactly the driver's instantiation path (SyRustDriver::run), so the
-  // enumeration the oracle audits is the enumeration real runs emit.
-  std::shared_ptr<const CrateAnalysis> Analysis;
-  if (Config.UseCompatCache)
-    Analysis = S.analysisFor(*Spec);
-  std::unique_ptr<CrateInstance> Inst =
-      Analysis ? Analysis->makeWorkerInstance() : Spec->instantiate();
-  std::unique_ptr<types::CompatCache> Compat;
-  if (Config.UseCompatCache)
-    Compat = std::make_unique<types::CompatCache>(
-        Analysis ? &Analysis->baseCache() : nullptr);
+  // Exactly the driver's setup (SyRustDriver::run): an overlay of the
+  // crate's shared analysis, a cache chained onto its matrix and its
+  // frozen graph, so the enumeration the oracle audits is the
+  // enumeration real runs emit.
+  std::shared_ptr<const CrateAnalysis> Analysis = S.analysisFor(*Spec);
+  std::unique_ptr<CrateInstance> Inst = Analysis->makeWorkerInstance();
+  types::CompatCache Compat(&Analysis->baseCache());
   Rng R(Config.Seed ^ std::hash<std::string>{}(Spec->Info.Name));
-  {
-    ApiSelectionOptions SelOpts;
-    SelOpts.Pinned = Inst->Pinned;
-    SelOpts.NumApis = Config.NumApis;
-    std::vector<ApiId> Selected = selectApiSubset(Inst->Db, SelOpts, R);
-    for (size_t I = 0; I < Inst->Db.size(); ++I) {
-      ApiId Id = static_cast<ApiId>(I);
-      if (Inst->Db.get(Id).Builtin != BuiltinKind::None)
-        continue;
-      if (std::find(Selected.begin(), Selected.end(), Id) ==
-          Selected.end())
-        Inst->Db.ban(Id);
-    }
-  }
+  selectApis(*Inst, Config.NumApis, /*BiasGraph=*/nullptr, R);
 
   refine::RefinementEngine Refine(Inst->Arena, Inst->Db, Config.Mode);
   Refine.setEagerCap(Config.EagerCap);
@@ -191,7 +174,7 @@ AuditResult syrust::oracle::auditOne(const Session &S,
   Opts.Strategy = Config.Strategy;
   Opts.SolverSeed = Config.Seed;
   Opts.Obs = Obs;
-  Opts.Compat = Compat.get();
+  Opts.Compat = &Compat;
   Opts.WeakenConsumptionKills = Config.WeakenConsumptionKills;
   // The differential tap: every model the Rule-7 path filter swallows is
   // captured here and replayed through the checker alongside the
@@ -203,21 +186,9 @@ AuditResult syrust::oracle::auditOne(const Session &S,
 
   // The frozen dependency graph serves two consumers: API-pair coverage
   // of the audited stream and the encoder's graph-guided candidate
-  // probes. Shared graph when the analysis exists, otherwise a local
-  // build against a scratch cache (never the audit's Compat - its
-  // counters mirror a real run's).
-  api::DependencyGraph LocalGraph;
-  const api::DependencyGraph *Graph;
-  if (Analysis) {
-    Graph = &Analysis->graph();
-  } else {
-    types::CompatCache Scratch;
-    LocalGraph = api::buildDependencyGraph(Inst->Db, Inst->Arena, Scratch);
-    Graph = &LocalGraph;
-  }
-  coverage::ApiPairCoverage ApiCov(*Graph);
-  Opts.Graph = Graph;
-  Opts.GraphPrune = Config.GraphPrune;
+  // probes.
+  coverage::ApiPairCoverage ApiCov(Analysis->graph());
+  Opts.Graph = &Analysis->graph();
 
   int MaxLines = Config.MaxLines > 0
                      ? std::min(Config.MaxLines, Inst->MaxLen)

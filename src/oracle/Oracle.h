@@ -74,11 +74,6 @@ struct OracleConfig {
   refine::RefinementMode Mode = refine::RefinementMode::Hybrid;
   /// Cap on eager instantiations per API (matches RunConfig).
   size_t EagerCap = 48;
-  bool UseCompatCache = true;
-  /// Answer encoder candidate probes from the dependency graph's bitset
-  /// instead of CompatCache lookups (matches RunConfig::GraphPrune; the
-  /// audited stream is byte-identical either way).
-  bool GraphPrune = true;
   /// Race the solver-strategy portfolio during the audited enumeration
   /// (the audited stream is byte-identical either way; this exercises
   /// the portfolio path under the agreement oracle).

@@ -99,8 +99,8 @@ struct SynthOptions {
   obs::Recorder *Obs = nullptr;
   /// Memoized compatibility kernel consulted for the encoder's
   /// unifiability probes; null computes every probe directly (the
-  /// --no-compat-cache escape hatch). Campaign runs chain a per-job
-  /// cache onto the crate's shared precomputed matrix
+  /// reference arm benches and tests compare against). Every driver run
+  /// chains a per-run cache onto the crate's shared precomputed matrix
   /// (core::CrateAnalysis). Cached and direct answers are identical by
   /// construction, so enumeration order does not depend on this setting.
   types::CompatCache *Compat = nullptr;
@@ -113,11 +113,11 @@ struct SynthOptions {
   /// not depend on this setting.
   const api::DependencyGraph *Graph = nullptr;
   /// Answer candidate probes with Graph's O(1) bitset rows instead of
-  /// CompatCache lookups (--no-graph-prune is the escape hatch). Only
-  /// the probe *mechanism* switches: program streams are byte-identical
-  /// on/off; only throughput and the prune.* probe-split counters
-  /// change. Dead-site elimination is structural and applies in both
-  /// modes.
+  /// CompatCache lookups (off is the reference arm for benches and
+  /// tests). Only the probe *mechanism* switches: program streams are
+  /// byte-identical on/off; only throughput and the prune.* probe-split
+  /// counters change. Dead-site elimination is structural and applies in
+  /// both modes.
   bool GraphPrune = true;
   /// Coverage-guided episode bias (--bias-coverage): in interleaved mode
   /// the synthesizer replaces the round-robin length rotation with a

@@ -125,16 +125,6 @@ TEST(RunConfigValidateTest, ReportsEveryProblemAtOnce) {
   EXPECT_EQ(C.validate().size(), 3u);
 }
 
-TEST(RunConfigValidateTest, RejectsBiasWithoutCoverageTracking) {
-  RunConfig C;
-  C.BiasCoverage = true;
-  EXPECT_TRUE(C.validate().empty()); // Tracking is on by default.
-  C.TrackApiCoverage = false;
-  std::vector<std::string> E = C.validate();
-  ASSERT_EQ(E.size(), 1u);
-  EXPECT_TRUE(contains(E, "BiasCoverage requires TrackApiCoverage"));
-}
-
 //===----------------------------------------------------------------------===//
 // CampaignSpec::validate.
 //===----------------------------------------------------------------------===//
@@ -176,10 +166,29 @@ TEST(CampaignSpecValidateTest, RejectsUnknownVariant) {
   std::vector<std::string> E = Spec.validate(S);
   EXPECT_TRUE(contains(E, "unknown variant 'turbo'"));
   EXPECT_TRUE(contains(E, "known: base, no-semantic, eager"));
-  // The known-variants list must track the full applyVariant vocabulary
-  // (it used to silently omit no-graph-prune).
-  EXPECT_TRUE(contains(E, "no-graph-prune"));
+  // The known-variants list must track the full applyVariant vocabulary.
+  EXPECT_TRUE(contains(E, "portfolio"));
   EXPECT_TRUE(contains(E, "coverage-bias"));
+}
+
+TEST(CampaignSpecValidateTest, RejectsRetiredProbeVariants) {
+  Session S;
+  for (const char *Retired :
+       {"no-compat-cache", "no-graph-prune", "no-incremental"}) {
+    CampaignSpec Spec = quadSpec();
+    Spec.Variants = {"base", Retired};
+    std::vector<std::string> E = Spec.validate(S);
+    EXPECT_TRUE(contains(E, std::string("unknown variant '") + Retired +
+                                "'"))
+        << Retired;
+    // The message lists the remaining vocabulary, and only that.
+    EXPECT_TRUE(contains(E, "known: base, no-semantic, eager, lazy, "
+                            "interleave, mutate-inputs, portfolio, "
+                            "coverage-bias"))
+        << Retired;
+    RunConfig C;
+    EXPECT_FALSE(applyVariant(Retired, C)) << Retired;
+  }
 }
 
 TEST(CampaignSpecValidateTest, RejectsNonPositiveJobs) {
@@ -234,8 +243,8 @@ TEST(CampaignTest, ApplyVariantCoversTheVocabulary) {
   EXPECT_TRUE(C.InterleaveLengths);
   EXPECT_TRUE(applyVariant("mutate-inputs", C));
   EXPECT_TRUE(C.MutateInputs);
-  EXPECT_TRUE(applyVariant("no-incremental", C));
-  EXPECT_FALSE(C.IncrementalRefinement);
+  EXPECT_TRUE(applyVariant("portfolio", C));
+  EXPECT_TRUE(C.Portfolio);
   RunConfig Bias;
   EXPECT_TRUE(applyVariant("coverage-bias", Bias));
   EXPECT_TRUE(Bias.BiasCoverage);
@@ -428,17 +437,15 @@ TEST(SessionTest, RunOneMatchesDirectDriver) {
   EXPECT_EQ(A.Executed, B.Executed);
   EXPECT_EQ(resultToJson(A, {false}).dump(), resultToJson(B, {false}).dump());
 
-  // A bare driver (no shared analysis) computes every probe locally:
-  // identical programs and results, only the counter split moves from
-  // base_hits to local hits/misses.
+  // A bare driver builds its own analysis, so it is the Session route
+  // byte for byte - compat cache counters and api_coverage included.
   RunResult D = SyRustDriver(Spec, C).run();
-  EXPECT_EQ(A.Synthesized, D.Synthesized);
-  EXPECT_EQ(A.Rejected, D.Rejected);
-  EXPECT_EQ(A.Executed, D.Executed);
-  EXPECT_EQ(A.Synth.CompatHits + A.Synth.CompatBaseHits +
-                A.Synth.CompatMisses,
-            D.Synth.CompatHits + D.Synth.CompatMisses);
-  EXPECT_EQ(D.Synth.CompatBaseHits, 0u);
+  EXPECT_EQ(resultToJson(A, {false}).dump(), resultToJson(D, {false}).dump());
+  EXPECT_EQ(A.Synth.CompatHits, D.Synth.CompatHits);
+  EXPECT_EQ(A.Synth.CompatBaseHits, D.Synth.CompatBaseHits);
+  EXPECT_EQ(A.Synth.CompatMisses, D.Synth.CompatMisses);
+  EXPECT_GT(D.Synth.CompatBaseHits, 0u);
+  EXPECT_FALSE(D.ApiCoverage.empty());
 }
 
 TEST(SessionTest, RunOneRejectsInvalidConfigAndUnknownCrate) {

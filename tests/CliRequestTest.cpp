@@ -183,6 +183,39 @@ TEST(CliRequestTest, JsonRequestRejectsBadMembers) {
       "connect"));
 }
 
+TEST(CliRequestTest, RetiredEscapeHatchesAreRejected) {
+  // The probe-stack escape hatches are gone from the option table: on
+  // every verb that once took them, the flag is an unknown-flag usage
+  // error (exit 2) and its wire key an unknown request field - never
+  // silently ignored. The usage text no longer advertises them.
+  const char *Retired[] = {"--no-compat-cache", "--no-graph-prune",
+                           "--no-api-coverage", "--no-incremental"};
+  for (const char *Flag : Retired) {
+    EXPECT_TRUE(mentions(parseErrors(Verb::Run, {"slab", Flag}),
+                         std::string("unknown flag '") + Flag + "'"))
+        << Flag;
+    EXPECT_TRUE(mentions(parseErrors(Verb::Campaign, {Flag}),
+                         std::string("unknown flag '") + Flag + "'"))
+        << Flag;
+    EXPECT_TRUE(mentions(parseErrors(Verb::Audit, {Flag}),
+                         std::string("unknown flag '") + Flag + "'"))
+        << Flag;
+    EXPECT_EQ(std::string::npos, usageText().find(Flag)) << Flag;
+
+    const std::string Key = Flag + 2;
+    for (const char *VerbName : {"run", "campaign", "audit"}) {
+      json::ParseResult P = json::parse(std::string("{\"verb\":\"") +
+                                        VerbName + "\",\"" + Key + "\":true}");
+      ASSERT_TRUE(P.Ok);
+      RequestSpec Spec;
+      std::vector<std::string> Errors;
+      EXPECT_FALSE(fromRequestJson(P.Val, Spec, Errors)) << Key;
+      EXPECT_TRUE(mentions(Errors, "unknown request field '" + Key + "'"))
+          << VerbName << " " << Key;
+    }
+  }
+}
+
 TEST(CliRequestTest, ArgvAndJsonSurfacesAgree) {
   // The no-drift property: render argv as a protocol request, decode
   // it, and the spec must match what parseArgv produced directly.

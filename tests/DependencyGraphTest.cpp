@@ -18,11 +18,16 @@
 ///  - the runtime property behind api_coverage: every edge a synthesized
 ///    program realizes is present in the frozen graph (UnmatchedEdges
 ///    stays 0 across a campaign slice), so coverage bitsets never
-///    silently drop dataflow.
+///    silently drop dataflow;
+///  - the identity behind graph-guided pruning on every crate: a run
+///    with RunConfig::GraphPrune off emits the same records, verdicts
+///    and counts as the default run; only the probe-split and compat
+///    counters move.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "api/DependencyGraph.h"
+#include "core/ResultJson.h"
 #include "core/Session.h"
 #include "types/CompatCache.h"
 #include "types/Subtyping.h"
@@ -30,6 +35,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -277,18 +283,63 @@ TEST(DependencyGraphGoldenTest, RealizedEdgesAreSubsetOfGraph) {
   }
 }
 
-/// Disabling tracking zeroes the section without touching the rest of
-/// the run.
-TEST(DependencyGraphGoldenTest, TrackingCanBeDisabled) {
-  Session S;
-  RunConfig Config;
-  Config.BudgetSeconds = 30;
-  Config.TrackApiCoverage = false;
-  RunResult R = S.runOne("slab", Config);
-  ASSERT_TRUE(R.Supported);
-  EXPECT_TRUE(R.ApiCoverage.empty());
-  EXPECT_EQ(R.ApiCoverage.NodesTotal, 0u);
-  EXPECT_GT(R.Synthesized, 0u);
+//===----------------------------------------------------------------------===//
+// Graph-guided pruning is an identity on every crate.
+//===----------------------------------------------------------------------===//
+
+class GraphPruneIdentityTest
+    : public ::testing::TestWithParam<std::string> {};
+
+/// The probe-mechanism counters are the only fields allowed to differ.
+RunResult withoutProbeSplit(RunResult R) {
+  R.Synth.PruneGraphProbes = 0;
+  R.Synth.PruneFallbackProbes = 0;
+  R.Synth.CompatHits = 0;
+  R.Synth.CompatBaseHits = 0;
+  R.Synth.CompatMisses = 0;
+  return R;
 }
+
+TEST_P(GraphPruneIdentityTest, OnOffStreamsMatch) {
+  Session S;
+  RunConfig On;
+  On.Seed = 2021;
+  On.BudgetSeconds = 30;
+  On.RecordTests = std::numeric_limits<size_t>::max();
+  RunConfig Off = On;
+  Off.GraphPrune = false;
+  const RunResult A = S.runOne(GetParam(), On);
+  const RunResult B = S.runOne(GetParam(), Off);
+  ASSERT_TRUE(A.Supported);
+  ASSERT_GT(A.Synthesized, 0u);
+
+  ASSERT_EQ(A.Db.records().size(), B.Db.records().size());
+  for (size_t I = 0; I < A.Db.records().size(); ++I) {
+    const TestRecord &X = A.Db.records()[I], &Y = B.Db.records()[I];
+    EXPECT_EQ(X.Source, Y.Source) << "record " << I;
+    EXPECT_TRUE(X.Verdict == Y.Verdict && X.Detail == Y.Detail &&
+                X.Ub == Y.Ub && X.Message == Y.Message)
+        << "record " << I;
+  }
+  // Every count in the result document (host wall stripped) agrees once
+  // the probe split is set aside; dead-site counters are structural and
+  // must agree as they are.
+  EXPECT_EQ(resultToJson(withoutProbeSplit(A), {false}).dump(),
+            resultToJson(withoutProbeSplit(B), {false}).dump());
+  // The switch took effect: the off side never consulted the graph.
+  EXPECT_GT(A.Synth.PruneGraphProbes, 0u);
+  EXPECT_EQ(B.Synth.PruneGraphProbes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCrates, GraphPruneIdentityTest,
+    ::testing::ValuesIn(Session().supportedCrates()),
+    [](const ::testing::TestParamInfo<std::string> &Info) {
+      std::string Name = Info.param;
+      for (char &C : Name)
+        if (C == '-' || C == '_')
+          C = '0';
+      return Name;
+    });
 
 } // namespace

@@ -640,7 +640,7 @@ TEST(SynthGraphPrune, StreamIdenticalPruneOnAndOff) {
   PrunedRun On = runGraphScripted(true, true);
   PrunedRun Off = runGraphScripted(false, true);
   ASSERT_FALSE(On.Hashes.empty());
-  // The invariant behind --no-graph-prune: the graph's edge set is the
+  // The invariant behind SynthOptions::GraphPrune: the graph's edge set is the
   // probe-success set, so the emitted stream is identical in ORDER, not
   // just as a set.
   EXPECT_EQ(On.Hashes, Off.Hashes);
