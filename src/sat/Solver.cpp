@@ -47,19 +47,19 @@ Var Solver::newVar() {
   return V;
 }
 
-Solver::ClauseRef Solver::allocClause(const std::vector<Lit> &Lits,
+Solver::ClauseRef Solver::allocClause(const Lit *Lits, size_t N,
                                       bool Learned) {
-  assert(Lits.size() >= 2 && "allocClause requires a non-unit clause");
+  assert(N >= 2 && "allocClause requires a non-unit clause");
   static_assert(sizeof(ClauseHeader) == 3 * sizeof(uint32_t),
                 "arena layout assumes a 3-word header");
   ClauseRef Ref = static_cast<ClauseRef>(Arena.size());
-  Arena.resize(Arena.size() + 3 + Lits.size());
+  Arena.resize(Arena.size() + 3 + N);
   ClauseHeader &H = header(Ref);
-  H.Size = static_cast<uint32_t>(Lits.size());
+  H.Size = static_cast<uint32_t>(N);
   H.Learned = Learned;
   H.Mark = 0;
   H.Activity = 0;
-  std::memcpy(lits(Ref), Lits.data(), Lits.size() * sizeof(Lit));
+  std::memcpy(lits(Ref), Lits, N * sizeof(Lit));
   return Ref;
 }
 
@@ -85,16 +85,18 @@ void Solver::attachClause(ClauseRef Ref) {
   Watches[C[1].Code].push_back(Watcher{Ref, C[0]});
 }
 
-/// Normalizes \p Lits in place: sorts, removes duplicates and literals that
-/// are false at the root, and detects tautologies / satisfied clauses.
-/// Returns false if the clause is already satisfied or tautological (and
-/// therefore should not be added).
-bool Solver::addClausePreprocessed(std::vector<Lit> &Lits) {
+/// Normalizes the \p N literals at \p Lits in place: sorts, removes
+/// duplicates and literals that are false at the root, and detects
+/// tautologies / satisfied clauses. Returns false if the clause is already
+/// satisfied or tautological (and therefore should not be added);
+/// otherwise shrinks \p N to the surviving literals.
+bool Solver::addClausePreprocessed(Lit *Lits, size_t &N) {
   assert(decisionLevel() == 0 && "preprocess only at the root level");
-  std::sort(Lits.begin(), Lits.end());
+  std::sort(Lits, Lits + N);
   Lit Prev = LitUndef;
   size_t Out = 0;
-  for (Lit L : Lits) {
+  for (size_t I = 0; I < N; ++I) {
+    Lit L = Lits[I];
     assert(var(L) >= 0 && var(L) < numVars() && "literal over unknown var");
     if (value(L) == Value::True || L == ~Prev)
       return false; // Satisfied at root, or a tautology.
@@ -102,38 +104,47 @@ bool Solver::addClausePreprocessed(std::vector<Lit> &Lits) {
       continue; // Falsified at root, or duplicate.
     Lits[Out++] = Prev = L;
   }
-  Lits.resize(Out);
+  N = Out;
   return true;
 }
 
-bool Solver::addClause(std::vector<Lit> Lits) {
+bool Solver::addClauseInPlace(Lit *Lits, size_t N) {
   if (!Ok)
     return false;
   if (decisionLevel() != 0)
     cancelUntil(0);
-  if (!addClausePreprocessed(Lits))
+  if (!addClausePreprocessed(Lits, N))
     return true; // Trivially satisfied; nothing to add.
-  if (Lits.empty()) {
+  if (N == 0) {
     Ok = false;
     return false;
   }
-  if (Lits.size() == 1) {
+  if (N == 1) {
     enqueue(Lits[0], Reason{});
     if (propagate().Kind != Reason::None)
       Ok = false;
     return Ok;
   }
-  ClauseRef Ref = allocClause(Lits, /*Learned=*/false);
+  ClauseRef Ref = allocClause(Lits, N, /*Learned=*/false);
   attachClause(Ref);
   return true;
 }
 
-bool Solver::addClause(Lit A) { return addClause(std::vector<Lit>{A}); }
+bool Solver::addClause(std::vector<Lit> Lits) {
+  return addClauseInPlace(Lits.data(), Lits.size());
+}
+
+bool Solver::addClause(Lit A) {
+  Lit Lits[] = {A};
+  return addClauseInPlace(Lits, 1);
+}
 bool Solver::addClause(Lit A, Lit B) {
-  return addClause(std::vector<Lit>{A, B});
+  Lit Lits[] = {A, B};
+  return addClauseInPlace(Lits, 2);
 }
 bool Solver::addClause(Lit A, Lit B, Lit C) {
-  return addClause(std::vector<Lit>{A, B, C});
+  Lit Lits[] = {A, B, C};
+  return addClauseInPlace(Lits, 3);
 }
 
 bool Solver::addAtMost(std::vector<Lit> Lits, int K) {
@@ -352,7 +363,8 @@ void Solver::collectReasonLits(Reason Why, Lit Implied,
   int ImpliedPos = Implied == LitUndef
                        ? static_cast<int>(Trail.size())
                        : trailPos(var(Implied));
-  std::vector<Lit> TrueLits;
+  std::vector<Lit> &TrueLits = CardTrueScratch;
+  TrueLits.clear();
   for (Lit L : Card.Lits) {
     if (value(L) == Value::True && trailPos(var(L)) < ImpliedPos)
       TrueLits.push_back(L);
@@ -362,22 +374,20 @@ void Solver::collectReasonLits(Reason Why, Lit Implied,
   });
   assert(static_cast<int>(TrueLits.size()) >= Needed &&
          "cardinality explanation underdetermined");
-  TrueLits.resize(Needed);
-  for (Lit L : TrueLits)
-    Out.push_back(~L);
+  for (int I = 0; I < Needed; ++I)
+    Out.push_back(~TrueLits[static_cast<size_t>(I)]);
 }
 
-bool Solver::litRedundant(Lit P, uint32_t AbstractLevels) {
+bool Solver::litRedundant(Lit P) {
   // Local (non-recursive) minimization, MiniSat's "basic" mode: P is
   // redundant iff every antecedent of its reason is already in the learned
   // clause (Seen) or fixed at the root level. Deeper recursive schemes must
   // undo marks on failure; the local check needs no extra marking and is
   // always sound.
-  (void)AbstractLevels;
   Reason Why = VarInfo[var(P)].Why;
   if (Why.Kind == Reason::None)
     return false;
-  std::vector<Lit> Antecedents;
+  std::vector<Lit> &Antecedents = RedundantScratch;
   collectReasonLits(Why, ~P, Antecedents);
   for (Lit Q : Antecedents) {
     Var V = var(Q);
@@ -394,7 +404,7 @@ void Solver::analyze(Reason Conflict, std::vector<Lit> &Learned,
   int Counter = 0;
   Lit P = LitUndef;
   int Index = static_cast<int>(Trail.size()) - 1;
-  std::vector<Lit> ReasonLits;
+  std::vector<Lit> &ReasonLits = ReasonScratch;
 
   for (;;) {
     collectReasonLits(Conflict, P, ReasonLits);
@@ -425,13 +435,11 @@ void Solver::analyze(Reason Conflict, std::vector<Lit> &Learned,
   // Minimization: drop literals whose reasons are subsumed by the clause.
   // Seen marks must be cleared for *all* originally collected literals,
   // including the dropped ones, so snapshot before minimizing.
-  std::vector<Lit> ToClear(Learned.begin() + 1, Learned.end());
-  uint32_t AbstractLevels = 0;
-  for (size_t I = 1; I < Learned.size(); ++I)
-    AbstractLevels |= 1u << (level(var(Learned[I])) & 31);
+  std::vector<Lit> &ToClear = ClearScratch;
+  ToClear.assign(Learned.begin() + 1, Learned.end());
   size_t Out = 1;
   for (size_t I = 1; I < Learned.size(); ++I) {
-    if (!litRedundant(Learned[I], AbstractLevels))
+    if (!litRedundant(Learned[I]))
       Learned[Out++] = Learned[I];
   }
   Learned.resize(Out);
@@ -464,10 +472,14 @@ void Solver::varBumpActivity(Var V) {
   if (Activity[V] > RescaleLimit) {
     for (double &A : Activity)
       A *= 1e-100;
+    for (HeapEntry &E : Heap)
+      E.Act = Activity[E.V];
     VarInc *= 1e-100;
   }
-  if (HeapPos[V] >= 0)
+  if (HeapPos[V] >= 0) {
+    Heap[HeapPos[V]].Act = Activity[V];
     heapUpdate(V);
+  }
 }
 
 void Solver::varDecayActivity() { VarInc /= VarDecay; }
@@ -486,56 +498,55 @@ void Solver::claDecayActivity() { ClaInc /= ClaDecay; }
 
 void Solver::heapInsert(Var V) {
   HeapPos[V] = static_cast<int>(Heap.size());
-  Heap.push_back(V);
+  Heap.push_back(HeapEntry{Activity[V], V});
   heapPercolateUp(HeapPos[V]);
 }
 
 void Solver::heapUpdate(Var V) { heapPercolateUp(HeapPos[V]); }
 
 Var Solver::heapPop() {
-  Var Top = Heap[0];
+  Var Top = Heap[0].V;
   HeapPos[Top] = -1;
   Heap[0] = Heap.back();
   Heap.pop_back();
   if (!Heap.empty()) {
-    HeapPos[Heap[0]] = 0;
+    HeapPos[Heap[0].V] = 0;
     heapPercolateDown(0);
   }
   return Top;
 }
 
 void Solver::heapPercolateUp(int Pos) {
-  Var V = Heap[Pos];
+  HeapEntry E = Heap[Pos];
   while (Pos > 0) {
     int Parent = (Pos - 1) >> 1;
-    if (Activity[Heap[Parent]] >= Activity[V])
+    if (Heap[Parent].Act >= E.Act)
       break;
     Heap[Pos] = Heap[Parent];
-    HeapPos[Heap[Pos]] = Pos;
+    HeapPos[Heap[Pos].V] = Pos;
     Pos = Parent;
   }
-  Heap[Pos] = V;
-  HeapPos[V] = Pos;
+  Heap[Pos] = E;
+  HeapPos[E.V] = Pos;
 }
 
 void Solver::heapPercolateDown(int Pos) {
-  Var V = Heap[Pos];
+  HeapEntry E = Heap[Pos];
   int Size = static_cast<int>(Heap.size());
   for (;;) {
     int Child = 2 * Pos + 1;
     if (Child >= Size)
       break;
-    if (Child + 1 < Size &&
-        Activity[Heap[Child + 1]] > Activity[Heap[Child]])
+    if (Child + 1 < Size && Heap[Child + 1].Act > Heap[Child].Act)
       ++Child;
-    if (Activity[Heap[Child]] <= Activity[V])
+    if (Heap[Child].Act <= E.Act)
       break;
     Heap[Pos] = Heap[Child];
-    HeapPos[Heap[Pos]] = Pos;
+    HeapPos[Heap[Pos].V] = Pos;
     Pos = Child;
   }
-  Heap[Pos] = V;
-  HeapPos[V] = Pos;
+  Heap[Pos] = E;
+  HeapPos[E.V] = Pos;
 }
 
 void Solver::setRandomSeed(uint64_t Seed) {
@@ -563,7 +574,7 @@ Lit Solver::pickBranchLit() {
   Var Next = VarUndef;
   if (!Heap.empty() &&
       (NextRandom() % 1000) < static_cast<uint64_t>(RandomFreq * 1000)) {
-    Var Candidate = Heap[NextRandom() % Heap.size()];
+    Var Candidate = Heap[NextRandom() % Heap.size()].V;
     if (value(Candidate) == Value::Undef)
       Next = Candidate;
   }
@@ -720,7 +731,8 @@ SolveResult Solver::search() {
       if (Learned.size() == 1) {
         enqueue(Learned[0], Reason{});
       } else {
-        ClauseRef Ref = allocClause(Learned, /*Learned=*/true);
+        ClauseRef Ref =
+            allocClause(Learned.data(), Learned.size(), /*Learned=*/true);
         LearnedRefs.push_back(Ref);
         ++Stats.LearnedClauses;
         claBumpActivity(Ref);

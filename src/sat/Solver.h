@@ -186,7 +186,7 @@ private:
   };
 
   // --- clause arena -------------------------------------------------------
-  ClauseRef allocClause(const std::vector<Lit> &Lits, bool Learned);
+  ClauseRef allocClause(const Lit *Lits, size_t N, bool Learned);
   ClauseHeader &header(ClauseRef Ref);
   const ClauseHeader &header(ClauseRef Ref) const;
   Lit *lits(ClauseRef Ref);
@@ -211,7 +211,7 @@ private:
 
   // --- conflict analysis ---------------------------------------------------
   void analyze(Reason Conflict, std::vector<Lit> &Learned, int &BtLevel);
-  bool litRedundant(Lit P, uint32_t AbstractLevels);
+  bool litRedundant(Lit P);
   void collectReasonLits(Reason Why, Lit Implied, std::vector<Lit> &Out);
 
   // --- decisions ------------------------------------------------------------
@@ -234,7 +234,9 @@ private:
   SolveResult search();
   void reduceDB();
   void attachClause(ClauseRef Ref);
-  bool addClausePreprocessed(std::vector<Lit> &Lits);
+  bool addClausePreprocessed(Lit *Lits, size_t &N);
+  /// addClause over a caller-owned buffer, which it normalizes in place.
+  bool addClauseInPlace(Lit *Lits, size_t N);
   static uint64_t luby(uint64_t I);
 
   // --- data -------------------------------------------------------------------
@@ -254,9 +256,22 @@ private:
   std::vector<double> Activity;
   std::vector<char> Polarity; ///< Saved phases (1 = last assigned false).
   std::vector<int> HeapPos;   ///< Var -> position in Heap, or -1.
-  std::vector<Var> Heap;
+  /// Order-heap entry. The activity rides inline (always equal to
+  /// Activity[V]) so percolation compares without a second indirection.
+  struct HeapEntry {
+    double Act;
+    Var V;
+  };
+  std::vector<HeapEntry> Heap;
 
   std::vector<char> Seen;
+  /// Reused conflict-analysis buffers: analyze()'s reason literals and
+  /// clear list, litRedundant()'s antecedents, and the true literals of
+  /// a cardinality explanation.
+  std::vector<Lit> ReasonScratch;
+  std::vector<Lit> ClearScratch;
+  std::vector<Lit> RedundantScratch;
+  std::vector<Lit> CardTrueScratch;
 
   std::vector<Lit> Assumptions;
   std::vector<Value> Model;

@@ -98,22 +98,15 @@ const Type *Encoding::renamedOutput(ApiId F) const {
   return nullptr;
 }
 
-bool Encoding::isOwnedNonCopy(const Type *Ty) const {
-  return !Ty->isRef() && !Traits.isCopy(Ty);
-}
-
 sat::Var Encoding::getV(VarId X, const Type *Ty, int Line) {
-  auto Key = std::make_tuple(X, Ty, Line);
-  auto It = VMap.find(Key);
-  if (It != VMap.end())
-    return It->second;
-  sat::Var V = Solver.newVar();
-  VMap.emplace(Key, V);
-  return V;
+  auto [It, Inserted] = VMap.try_emplace(VKey{X, Ty, Line}, sat::VarUndef);
+  if (Inserted)
+    It->second = Solver.newVar();
+  return It->second;
 }
 
 bool Encoding::hasV(VarId X, const Type *Ty, int Line) const {
-  return VMap.count(std::make_tuple(X, Ty, Line)) != 0;
+  return VMap.count(VKey{X, Ty, Line}) != 0;
 }
 
 bool Encoding::isNewType(VarId X, const Type *Ty) const {
@@ -605,7 +598,9 @@ void Encoding::buildSemanticConstraints() {
     int FirstLine = X < K ? 0 : X - K + 1;
     for (const Type *Ty : VarTypes[static_cast<size_t>(X)]) {
       bool PairNew = isNewType(X, Ty);
-      bool OwnedNonCopy = isOwnedNonCopy(Ty);
+      // Loop-invariant over every (line, site, slot) below.
+      bool TyIsCopy = Traits.isCopy(Ty);
+      bool OwnedNonCopy = !Ty->isRef() && !TyIsCopy;
       // `&mut T` is not Copy: like owned non-Copy values it moves when
       // passed by value (a non-ref parameter pattern, e.g. a bare type
       // variable). Uses feeding ref-typed parameters reborrow instead.
@@ -624,7 +619,7 @@ void Encoding::buildSemanticConstraints() {
               continue;
             CallSite &Site = Sites[static_cast<size_t>(I)][Kk];
             for (size_t J = 0; J < Site.Slots.size(); ++J) {
-              if (!movesOnUse(Ty, RenIn[Kk][J], Traits))
+              if (!movesOnUse(TyIsCopy, Ty, RenIn[Kk][J]))
                 continue; // Ref-typed parameter: reborrow, not a move.
               size_t Prev = prevSlotCount(I, Kk, J);
               for (size_t Ci = 0; Ci < Site.Slots[J].size(); ++Ci) {

@@ -60,6 +60,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 namespace syrust::synth {
@@ -266,7 +267,6 @@ private:
   bool hasV(program::VarId X, const types::Type *Ty, int Line) const;
   const types::Type *renamedInput(api::ApiId F, size_t J) const;
   const types::Type *renamedOutput(api::ApiId F) const;
-  bool isOwnedNonCopy(const types::Type *Ty) const;
 
   /// True when (X, Ty) entered VarTypes[X] during the current sync.
   bool isNewType(program::VarId X, const types::Type *Ty) const;
@@ -332,9 +332,24 @@ private:
   /// CallSites[i][k] for line i, Active[k].
   std::vector<std::vector<CallSite>> Sites;
 
-  /// V variables keyed by (var, type, line).
-  std::map<std::tuple<program::VarId, const types::Type *, int>, sat::Var>
-      VMap;
+  /// V variables keyed by (var, type, line). Point lookups only.
+  struct VKey {
+    program::VarId X;
+    const types::Type *Ty;
+    int Line;
+    bool operator==(const VKey &O) const {
+      return X == O.X && Ty == O.Ty && Line == O.Line;
+    }
+  };
+  struct VKeyHash {
+    size_t operator()(const VKey &K) const {
+      uint64_t H = reinterpret_cast<uintptr_t>(K.Ty);
+      H = (H ^ static_cast<uint32_t>(K.X)) * 0x9e3779b97f4a7c15ULL;
+      H = (H ^ static_cast<uint32_t>(K.Line)) * 0x9e3779b97f4a7c15ULL;
+      return static_cast<size_t>(H ^ (H >> 32));
+    }
+  };
+  std::unordered_map<VKey, sat::Var, VKeyHash> VMap;
 
   /// Pre-sync snapshots, consulted while syncing to emit only what is
   /// new. Type sets per variable (NOT prefix counts: builtin-derived

@@ -92,13 +92,21 @@ private:
 ///   * everything else — owned non-Copy values, and `&mut T` passed to a
 ///     by-value parameter such as a bare type variable — moves, killing
 ///     the binding (`&mut T` is not Copy).
-inline bool movesOnUse(const Type *ArgTy, const Type *Pattern,
-                       const TraitEnv &Traits) {
-  if (Traits.isCopy(ArgTy))
+///
+/// This overload takes the argument's Copy-ness precomputed, for callers
+/// that test one argument type against many parameters.
+inline bool movesOnUse(bool ArgIsCopy, const Type *ArgTy,
+                       const Type *Pattern) {
+  if (ArgIsCopy)
     return false;
   if (ArgTy->isRef() && Pattern && Pattern->isRef())
     return false; // Implicit reborrow.
   return true;
+}
+
+inline bool movesOnUse(const Type *ArgTy, const Type *Pattern,
+                       const TraitEnv &Traits) {
+  return movesOnUse(Traits.isCopy(ArgTy), ArgTy, Pattern);
 }
 
 } // namespace syrust::types

@@ -129,12 +129,16 @@ const Type *TypeArena::named(const std::string &Name,
 
 const Type *TypeArena::ref(const Type *Pointee, bool Mutable) {
   assert(Pointee && "reference requires a pointee");
+  const Type *&Slot = RefMemo[Pointee][Mutable ? 1 : 0];
+  if (Slot)
+    return Slot;
   Type Proto;
   Proto.Kind = TypeKind::Ref;
   Proto.MutRef = Mutable;
   Proto.Args = {Pointee};
   Proto.Concrete = Pointee->isConcrete();
-  return intern(std::move(Proto));
+  Slot = intern(std::move(Proto));
+  return Slot;
 }
 
 const Type *TypeArena::tuple(std::vector<const Type *> Elems) {

@@ -15,6 +15,7 @@
 #ifndef SYRUST_TYPES_TYPE_H
 #define SYRUST_TYPES_TYPE_H
 
+#include <array>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -125,7 +126,9 @@ public:
   const Type *named(const std::string &Name,
                     std::vector<const Type *> Args = {});
 
-  /// Interns &T (Mutable=false) or &mut T (Mutable=true).
+  /// Interns &T (Mutable=false) or &mut T (Mutable=true). Memoized per
+  /// pointee: the encoder derives the same references once per (line,
+  /// site, candidate), and hash-consing already fixes the answer.
   const Type *ref(const Type *Pointee, bool Mutable);
 
   /// Interns a tuple type; requires at least two elements (unit is prim,
@@ -155,6 +158,10 @@ private:
   static std::string render(const Type &T);
 
   std::unordered_map<std::string, std::unique_ptr<Type>> Pool;
+  /// ref() memo: pointee -> {&T, &mut T}, null until first requested.
+  /// Lives in the arena that answered the call, so an overlay never
+  /// writes its frozen base.
+  std::unordered_map<const Type *, std::array<const Type *, 2>> RefMemo;
   const Type *Unit = nullptr;
   const TypeArena *Base = nullptr;
   /// Next Type::varIndex() to hand out; overlays resume the base's count.

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace syrust;
@@ -178,6 +179,124 @@ TEST(OverlayArenaTest, VarIndicesContinueAcrossOverlay) {
   EXPECT_TRUE(S.bind(V, Base.prim("u8")));
   EXPECT_EQ(S.lookup(T), Base.prim("i32"));
   EXPECT_EQ(S.lookup(V), Base.prim("u8"));
+}
+
+//===----------------------------------------------------------------------===//
+// TypeArena::ref memo: a per-arena pointee -> {&T, &mut T} table.
+//===----------------------------------------------------------------------===//
+
+TEST(RefMemoTest, PlainArenaMatchesParser) {
+  TypeArena Arena;
+  TypeParser Parser{Arena, {"T"}};
+  for (const char *Pointee :
+       {"String", "Vec<T>", "(i32, String)", "Option<&u8>"}) {
+    const Type *P = Parser.parse(Pointee);
+    ASSERT_NE(P, nullptr) << Parser.error();
+    // Memo first, structural parse second...
+    const Type *Shared = Arena.ref(P, false);
+    EXPECT_EQ(Shared, Parser.parse(std::string("&") + Pointee));
+    // ...and the other way round.
+    const Type *MutParsed = Parser.parse(std::string("&mut ") + Pointee);
+    EXPECT_EQ(Arena.ref(P, true), MutParsed);
+    EXPECT_EQ(Shared->pointee(), P);
+    EXPECT_EQ(MutParsed->pointee(), P);
+  }
+}
+
+TEST(RefMemoTest, MutabilityIsDistinctAndRepeatsAreStable) {
+  TypeArena Arena;
+  const Type *S = Arena.named("String");
+  const Type *Shared = Arena.ref(S, false);
+  const Type *Mut = Arena.ref(S, true);
+  EXPECT_NE(Shared, Mut);
+  EXPECT_TRUE(Shared->isSharedRef());
+  EXPECT_TRUE(Mut->isMutRef());
+  const size_t Size = Arena.size();
+  for (int I = 0; I < 3; ++I) {
+    EXPECT_EQ(Arena.ref(S, false), Shared);
+    EXPECT_EQ(Arena.ref(S, true), Mut);
+  }
+  EXPECT_EQ(Arena.size(), Size);
+}
+
+TEST(OverlayArenaTest, RefPresentInBaseResolvesToBasePointer) {
+  TypeArena Base;
+  const Type *S = Base.named("String");
+  const Type *BaseRef = Base.ref(S, false);
+  const size_t BaseLocal = Base.localSize();
+
+  TypeArena Over(Base, Overlay);
+  EXPECT_EQ(Over.ref(S, false), BaseRef);
+  EXPECT_EQ(Over.ref(S, false), BaseRef); // Now an overlay memo hit.
+  EXPECT_EQ(Over.localSize(), 0u);
+  EXPECT_EQ(Base.localSize(), BaseLocal);
+}
+
+TEST(OverlayArenaTest, NewRefGrowsOverlayByExactlyOne) {
+  TypeArena Base;
+  const Type *S = Base.named("String");
+  Base.ref(S, false);
+  const size_t BaseLocal = Base.localSize();
+
+  TypeArena Over(Base, Overlay);
+  // &mut String is not in the base: the first call interns it locally.
+  const Type *Mut = Over.ref(S, true);
+  EXPECT_EQ(Over.localSize(), 1u);
+  EXPECT_EQ(Over.ref(S, true), Mut);
+  EXPECT_EQ(Over.localSize(), 1u);
+
+  // The same holds for a pointee the overlay owns itself.
+  const Type *Fresh = Over.named("Fresh");
+  const size_t Local = Over.localSize();
+  const Type *FreshRef = Over.ref(Fresh, false);
+  EXPECT_EQ(Over.localSize(), Local + 1);
+  EXPECT_EQ(Over.ref(Fresh, false), FreshRef);
+  EXPECT_EQ(Over.localSize(), Local + 1);
+  EXPECT_EQ(Base.localSize(), BaseLocal);
+}
+
+TEST(OverlayArenaTest, ConcurrentOverlaysNeverWriteTheBase) {
+  // Several workers, each with a private overlay over one frozen base,
+  // derive references and generic instances at the same time. Every
+  // base-resident answer must be the base's pointer, and the base must
+  // not grow; under ThreadSanitizer this also proves the memo writes
+  // stay in the overlays.
+  TypeArena Base;
+  std::vector<const Type *> Pointees = {Base.named("String"),
+                                        Base.prim("i32"),
+                                        Base.named("Vec", {Base.prim("u8")})};
+  std::vector<const Type *> BaseShared;
+  for (const Type *P : Pointees)
+    BaseShared.push_back(Base.ref(P, false));
+  const Type *BaseVec = Base.named("Vec", {Pointees[0]});
+  const size_t BaseLocal = Base.localSize();
+
+  constexpr int Workers = 4;
+  std::vector<int> Mismatches(Workers, 0);
+  std::vector<std::thread> Pool;
+  for (int W = 0; W < Workers; ++W) {
+    Pool.emplace_back([&, W] {
+      TypeArena Over(Base, Overlay);
+      for (int Round = 0; Round < 200; ++Round) {
+        for (size_t I = 0; I < Pointees.size(); ++I) {
+          if (Over.ref(Pointees[I], false) != BaseShared[I])
+            ++Mismatches[W];
+          const Type *Mut = Over.ref(Pointees[I], true);
+          if (Over.ref(Pointees[I], true) != Mut || !Mut->isMutRef())
+            ++Mismatches[W];
+        }
+        if (Over.named("Vec", {Pointees[0]}) != BaseVec)
+          ++Mismatches[W];
+      }
+      if (Over.localSize() != Pointees.size()) // One &mut per pointee.
+        ++Mismatches[W];
+    });
+  }
+  for (std::thread &T : Pool)
+    T.join();
+  for (int W = 0; W < Workers; ++W)
+    EXPECT_EQ(Mismatches[W], 0) << "worker " << W;
+  EXPECT_EQ(Base.localSize(), BaseLocal);
 }
 
 //===----------------------------------------------------------------------===//

@@ -13,7 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 
 using namespace syrust;
 using namespace syrust::sat;
@@ -879,6 +885,179 @@ TEST(PortfolioTest, CegarPrimaryFindsUnsatViaMaterialization) {
   P.endLazy();
   EXPECT_EQ(P.solve(), SolveResult::Unsat);
   EXPECT_FALSE(P.budgetExhausted());
+}
+
+//===----------------------------------------------------------------------===//
+// Cross-build enumeration golden
+//===----------------------------------------------------------------------===//
+//
+// Seeded random 3-SAT + AtMost-k formulas, each enumerated to exhaustion
+// twice: through ModelEnumerator, and through solve() under a selector
+// assumption (the encoder's generation-guard shape). Per formula the
+// golden records an FNV-1a digest of each model sequence plus the
+// decision/conflict/propagation/deleted-clause counters, so any drift in
+// the decision order - a heap tie-break, a rescale, a changed comparison
+// - fails here and not only in the 28-crate program-stream digests.
+//
+// A deliberate search change regenerates the file by running
+//   SAT_ENUM_DIGESTS_OUT=tests/golden/sat_enum_digests.txt
+//   ./build/tests/sat_solver_test --gtest_filter='SatEnumGolden.*'
+// (one command line) and says why in CHANGES.md.
+
+class ModelDigest {
+public:
+  void model(const Solver &S, const std::vector<Var> &Projection) {
+    for (Var V : Projection)
+      byte(S.modelValue(V) == Value::True ? 1 : 0);
+    byte(0xff);
+  }
+  uint64_t value() const { return H; }
+
+private:
+  void byte(unsigned char B) {
+    H ^= B;
+    H *= 1099511628211ull;
+  }
+  uint64_t H = 1469598103934665603ull;
+};
+
+struct GoldenFormula {
+  int NumVars = 0;
+  std::vector<std::vector<Lit>> Clauses; ///< Over vars 0..NumVars-1.
+  std::vector<std::pair<std::vector<Lit>, int>> AtMosts;
+  std::vector<Var> Projection;
+};
+
+/// Seeds below LargeFrom draw small formulas; the rest are larger and
+/// near the 3-SAT phase transition, so their searches run long enough to
+/// learn, minimize, reduce and rescale activities.
+constexpr uint64_t GoldenFormulas = 28;
+constexpr uint64_t LargeFrom = 24;
+
+GoldenFormula makeGoldenFormula(uint64_t Seed) {
+  Rng R(Seed * 0x2545f4914f6cdd1dULL + 17);
+  GoldenFormula F;
+  bool Large = Seed >= LargeFrom;
+  F.NumVars = Large ? 130 + static_cast<int>(R.below(20))
+                    : 16 + static_cast<int>(R.below(25));
+  int NumClauses = Large
+                       ? F.NumVars * (37 + static_cast<int>(R.below(3))) / 10
+                       : F.NumVars * (28 + static_cast<int>(R.below(14))) / 10;
+  for (int C = 0; C < NumClauses; ++C) {
+    std::vector<Lit> Cl;
+    for (int L = 0; L < 3; ++L)
+      Cl.push_back(mkLit(static_cast<Var>(R.below(F.NumVars)), R.chance(0.5)));
+    F.Clauses.push_back(Cl);
+  }
+  int NumCards = 1 + static_cast<int>(R.below(3));
+  for (int C = 0; C < NumCards; ++C) {
+    std::vector<Lit> Lits;
+    std::set<Var> Used;
+    int Len = 4 + static_cast<int>(R.below(6));
+    for (int L = 0; L < Len; ++L) {
+      Var V = static_cast<Var>(R.below(F.NumVars));
+      if (Used.insert(V).second)
+        Lits.push_back(mkLit(V, R.chance(0.5)));
+    }
+    if (Lits.size() < 3)
+      continue;
+    int K = 1 + static_cast<int>(R.below(Lits.size() - 2));
+    F.AtMosts.emplace_back(Lits, K);
+  }
+  // Project on a prefix so model counts stay small while the solver
+  // still searches the full formula.
+  for (Var V = 0; V < std::min(F.NumVars, 11); ++V)
+    F.Projection.push_back(V);
+  return F;
+}
+
+std::string statsText(const SolverStats &St) {
+  char Buf[128];
+  std::snprintf(Buf, sizeof(Buf),
+                "dec=%" PRIu64 " confl=%" PRIu64 " props=%" PRIu64
+                " deleted=%" PRIu64,
+                St.Decisions, St.Conflicts, St.Propagations,
+                St.DeletedClauses);
+  return Buf;
+}
+
+std::string digestText(uint64_t Models, uint64_t Digest) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "models=%" PRIu64 " fnv=%016" PRIx64,
+                Models, Digest);
+  return Buf;
+}
+
+/// Enumerates \p F through ModelEnumerator over its projection.
+std::string enumerateDirect(const GoldenFormula &F) {
+  Solver S;
+  makeVars(S, F.NumVars);
+  for (const auto &Cl : F.Clauses)
+    S.addClause(Cl[0], Cl[1], Cl[2]);
+  for (const auto &[Lits, K] : F.AtMosts)
+    S.addAtMost(Lits, K);
+  ModelEnumerator Enum(S, F.Projection);
+  ModelDigest D;
+  while (Enum.next())
+    D.model(S, F.Projection);
+  return digestText(Enum.count(), D.value()) + " " + statsText(S.stats());
+}
+
+/// Enumerates \p F with every other clause guarded by a selector that
+/// each solve assumes, blocking models with plain clauses.
+std::string enumerateAssumed(const GoldenFormula &F) {
+  Solver S;
+  makeVars(S, F.NumVars);
+  Var Sel = S.newVar();
+  for (size_t I = 0; I < F.Clauses.size(); ++I) {
+    const auto &Cl = F.Clauses[I];
+    if (I % 2 == 0) {
+      S.addClause(Cl[0], Cl[1], Cl[2]);
+      continue;
+    }
+    std::vector<Lit> Guarded = Cl;
+    Guarded.push_back(mkLit(Sel, true));
+    S.addClause(Guarded);
+  }
+  for (const auto &[Lits, K] : F.AtMosts)
+    S.addAtMost(Lits, K);
+  ModelDigest D;
+  uint64_t Models = 0;
+  while (S.solve({mkLit(Sel)}) == SolveResult::Sat) {
+    ++Models;
+    D.model(S, F.Projection);
+    std::vector<Lit> Block;
+    for (Var V : F.Projection)
+      Block.push_back(mkLit(V, S.modelValue(V) == Value::True));
+    if (!S.addClause(Block))
+      break;
+  }
+  return digestText(Models, D.value()) + " " + statsText(S.stats());
+}
+
+std::string satEnumDigests() {
+  std::ostringstream Out;
+  for (uint64_t Seed = 0; Seed < GoldenFormulas; ++Seed) {
+    GoldenFormula F = makeGoldenFormula(Seed);
+    Out << "f" << Seed << " vars=" << F.NumVars
+        << " clauses=" << F.Clauses.size() << " cards=" << F.AtMosts.size()
+        << " | enum " << enumerateDirect(F) << " | assume "
+        << enumerateAssumed(F) << "\n";
+  }
+  return Out.str();
+}
+
+TEST(SatEnumGolden, MatchesCommittedDigests) {
+  const std::string Got = satEnumDigests();
+  if (const char *OutPath = std::getenv("SAT_ENUM_DIGESTS_OUT")) {
+    std::ofstream(OutPath) << Got;
+    GTEST_SKIP() << "wrote " << OutPath;
+  }
+  std::ifstream In(SYRUST_GOLDEN_DIR "/sat_enum_digests.txt");
+  ASSERT_TRUE(In.good()) << "missing golden file";
+  std::stringstream Want;
+  Want << In.rdbuf();
+  EXPECT_EQ(Got, Want.str());
 }
 
 } // namespace
