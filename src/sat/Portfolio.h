@@ -103,6 +103,9 @@ public:
   /// to Unsat reports false: the episode produced a real proof.
   bool budgetExhausted() const { return BudgetFlag; }
   const SolverStats &stats() const { return Base.stats(); }
+  /// Digest of the constraints member 0 has received (Solver::
+  /// formulaDigest); CEGAR-deferred constraints count once materialized.
+  uint64_t formulaDigest() const { return Base.formulaDigest(); }
   void setRandomSeed(uint64_t Seed);
   void setRecorder(obs::Recorder *R);
 

@@ -92,7 +92,6 @@ void Solver::attachClause(ClauseRef Ref) {
 /// otherwise shrinks \p N to the surviving literals.
 bool Solver::addClausePreprocessed(Lit *Lits, size_t &N) {
   assert(decisionLevel() == 0 && "preprocess only at the root level");
-  std::sort(Lits, Lits + N);
   Lit Prev = LitUndef;
   size_t Out = 0;
   for (size_t I = 0; I < N; ++I) {
@@ -109,6 +108,13 @@ bool Solver::addClausePreprocessed(Lit *Lits, size_t &N) {
 }
 
 bool Solver::addClauseInPlace(Lit *Lits, size_t N) {
+  // The solver is insensitive to literal order within a clause, so the
+  // digest sees the sorted form; root simplification comes after.
+  std::sort(Lits, Lits + N);
+  digestWord('C');
+  digestWord(N);
+  for (size_t I = 0; I < N; ++I)
+    digestWord(static_cast<uint32_t>(Lits[I].Code));
   if (!Ok)
     return false;
   if (decisionLevel() != 0)
@@ -148,6 +154,13 @@ bool Solver::addClause(Lit A, Lit B, Lit C) {
 }
 
 bool Solver::addAtMost(std::vector<Lit> Lits, int K) {
+  // Literal order matters here (occurrence lists, propagation order), so
+  // the digest takes the literals as given.
+  digestWord('M');
+  digestWord(static_cast<uint32_t>(K));
+  digestWord(Lits.size());
+  for (Lit L : Lits)
+    digestWord(static_cast<uint32_t>(L.Code));
   if (!Ok)
     return false;
   if (decisionLevel() != 0)

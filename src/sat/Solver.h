@@ -82,6 +82,14 @@ public:
   /// Adds the constraint "exactly \p K of \p Lits are true".
   bool addExactly(const std::vector<Lit> &Lits, int K);
 
+  /// Order-sensitive digest of every constraint received so far: each
+  /// clause as its sorted literal list (before root simplification) and
+  /// each at-most constraint as its bound and its literals in the order
+  /// given. Solvers fed the same constraint sequence over the same
+  /// variable numbering report the same digest, so a formula can be
+  /// compared across builds.
+  uint64_t formulaDigest() const { return Digest; }
+
   /// Detaches clauses satisfied at the root level (problem and learned)
   /// from the watch lists. Incremental clients that retire whole clause
   /// groups behind a selector literal (a unit clause satisfies every
@@ -238,6 +246,8 @@ private:
   /// addClause over a caller-owned buffer, which it normalizes in place.
   bool addClauseInPlace(Lit *Lits, size_t N);
   static uint64_t luby(uint64_t I);
+  /// Folds one word into Digest (FNV-1a over 64-bit words).
+  void digestWord(uint64_t W) { Digest = (Digest ^ W) * 1099511628211ull; }
 
   // --- data -------------------------------------------------------------------
   bool Ok = true;
@@ -297,6 +307,7 @@ private:
   bool HookFired = false;
 
   SolverStats Stats;
+  uint64_t Digest = 1469598103934665603ull; ///< See formulaDigest().
 };
 
 } // namespace syrust::sat

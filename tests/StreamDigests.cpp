@@ -19,10 +19,22 @@
 ///   ./build/tests/stream_digests > tests/golden/stream_digests.txt
 /// and says why in CHANGES.md.
 ///
+/// With `--formula` it prints one `formula` line per run cell instead:
+/// the run is traced and every `synth.sync` instant's `formula_digest`
+/// (the solver's digest of every constraint it received, see
+/// sat::Solver::formulaDigest) and `sat_vars` are folded in order. The
+/// `formula_digest_golden` ctest diffs that against
+/// tests/golden/formula_digests.txt, so an encoder rewrite that must
+/// emit byte-identical clauses, cardinalities and variable numbering is
+/// checked directly, not only through the programs it happens to yield.
+/// Regenerate with
+///   ./build/tests/stream_digests --formula > tests/golden/formula_digests.txt
+///
 //===----------------------------------------------------------------------===//
 
 #include "campaign/Campaign.h"
 #include "core/Session.h"
+#include "obs/Recorder.h"
 #include "oracle/Oracle.h"
 
 #include <algorithm>
@@ -30,6 +42,7 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
@@ -68,15 +81,19 @@ private:
   uint64_t H = 1469598103934665603ull;
 };
 
-std::string runCell(const core::Session &S, const std::string &Crate,
-                    const char *Variant) {
+core::RunConfig cellConfig(const char *Variant) {
   core::RunConfig C;
   C.Seed = Seed;
   C.BudgetSeconds = BudgetSeconds;
   C.MinimizeBugs = true;
   C.RecordTests = std::numeric_limits<size_t>::max();
   campaign::applyVariant(Variant, C);
-  const core::RunResult R = S.runOne(Crate, C);
+  return C;
+}
+
+std::string runCell(const core::Session &S, const std::string &Crate,
+                    const char *Variant) {
+  const core::RunResult R = S.runOne(Crate, cellConfig(Variant));
 
   Fnv H;
   for (const core::TestRecord &Rec : R.Db.records()) {
@@ -133,17 +150,57 @@ std::string auditCell(const core::Session &S, const std::string &Crate) {
   return Line;
 }
 
+/// The text of string argument \p Key in one rendered trace event, or
+/// of numeric argument \p Key when \p Quoted is false; empty if absent.
+std::string traceArg(const std::string &Event, const char *Key,
+                     bool Quoted) {
+  std::string Needle = std::string("\"") + Key + "\":" + (Quoted ? "\"" : "");
+  size_t Pos = Event.find(Needle);
+  if (Pos == std::string::npos)
+    return "";
+  Pos += Needle.size();
+  size_t End = Event.find_first_of(Quoted ? "\"" : ",}", Pos);
+  return Event.substr(Pos, End - Pos);
+}
+
+std::string formulaCell(const core::Session &S, const std::string &Crate,
+                        const char *Variant) {
+  obs::Recorder::Options O;
+  O.Metrics = false;
+  obs::Recorder Rec(O);
+  S.runOne(Crate, cellConfig(Variant), &Rec);
+
+  Fnv H;
+  uint64_t Syncs = 0;
+  for (const std::string &E : Rec.tracer().events()) {
+    if (E.find("\"name\":\"synth.sync\"") == std::string::npos)
+      continue;
+    ++Syncs;
+    H.str(traceArg(E, "formula_digest", /*Quoted=*/true));
+    H.str(traceArg(E, "sat_vars", /*Quoted=*/false));
+  }
+  char Line[256];
+  std::snprintf(Line, sizeof(Line),
+                "formula %s %" PRIu64 " %s syncs=%" PRIu64 " %016" PRIx64
+                "\n",
+                Crate.c_str(), Seed, Variant, Syncs, H.value());
+  return Line;
+}
+
 } // namespace
 
-int main() {
+int main(int Argc, char **Argv) {
+  const bool Formula = Argc > 1 && std::strcmp(Argv[1], "--formula") == 0;
   core::Session S;
   std::vector<std::function<std::string()>> Cells;
   for (const std::string &Crate : S.supportedCrates()) {
     for (const char *Variant : {"base", "interleave"})
-      Cells.push_back([&S, Crate, Variant] {
-        return runCell(S, Crate, Variant);
+      Cells.push_back([&S, Crate, Variant, Formula] {
+        return Formula ? formulaCell(S, Crate, Variant)
+                       : runCell(S, Crate, Variant);
       });
-    Cells.push_back([&S, Crate] { return auditCell(S, Crate); });
+    if (!Formula)
+      Cells.push_back([&S, Crate] { return auditCell(S, Crate); });
   }
   // Every cell is a pure function of its key, so a small pool changes
   // only the host time; lines are printed in matrix order.
