@@ -37,6 +37,7 @@
 #include "synth/SeenPrograms.h"
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 namespace syrust::synth {

@@ -569,6 +569,90 @@ TEST(SynthDeterminism, IncrementalMatchesRebuildEmittedSet) {
   EXPECT_GT(Reb.DuplicatesSkipped, 0u);
 }
 
+/// Renders every program a synthesizer emits over a borrow-heavy
+/// universe. With \p ExtendAfter > 0 the run starts on the base
+/// database, emits that many programs, then gains three APIs that
+/// exercise the ownership and borrow constraint families on the
+/// in-place extension path:
+///   * sink(T): a new by-value consumer of the existing `&mut Vec<String>`
+///     (Rule 5 consumption kills and the Rule 6 `&mut` ties grow);
+///   * Blob::from(String): a new owned type, so every later line gains
+///     `&`/`&mut` borrows of it (Rules 8/9, redundancy (2) and (3)) and
+///     `let mut` sites gain it as a candidate (redundancy (1));
+///   * Blob::poke(&mut Blob): a consumer of the new `&mut Blob` borrows.
+/// With \p ExtendAfter == 0 the synthesizer is built on the final
+/// database from the start. Lengths interleave, so every length's
+/// encoding is live when the database grows.
+std::vector<std::string> runBorrowRound(size_t ExtendAfter,
+                                        uint64_t &Extends) {
+  TypeArena Arena;
+  TypeParser Parser{Arena, {"T"}};
+  TraitEnv Traits{Arena};
+  Traits.addDefaultPrimImpls();
+  ApiDatabase Db;
+  addBuiltinApis(Db, Arena);
+  auto Add = [&](const std::string &Name, std::vector<std::string> Ins,
+                 const std::string &Out) {
+    ApiSig Sig;
+    Sig.Name = Name;
+    for (const auto &I : Ins)
+      Sig.Inputs.push_back(Parser.parse(I));
+    Sig.Output = Parser.parse(Out);
+    Db.add(std::move(Sig));
+  };
+  auto AddRound = [&] {
+    Add("sink", {"T"}, "bool");
+    Add("Blob::from", {"String"}, "Blob");
+    Add("Blob::poke", {"&mut Blob"}, "()");
+  };
+  Add("Vec::pop", {"&mut Vec<T>"}, "Option<T>");
+  Add("take", {"T"}, "usize");
+  if (ExtendAfter == 0)
+    AddRound();
+  std::vector<TemplateInput> Inputs = {{"s", Parser.parse("String")},
+                                       {"v", Parser.parse("Vec<String>")}};
+  SynthOptions Opts;
+  Opts.InterleaveLengths = true;
+  Synthesizer Synth(Arena, Traits, Db, Inputs, /*MaxLines=*/4, Opts);
+  std::vector<std::string> Out;
+  while (auto P = Synth.next()) {
+    Out.push_back(P->render(Db));
+    if (Out.size() == ExtendAfter) {
+      AddRound();
+      Synth.notifyDatabaseChanged();
+    }
+  }
+  Extends = Synth.stats().IncrementalExtends;
+  EXPECT_EQ(Synth.stats().Rebuilds, 4u); // One initial build per length.
+  return Out;
+}
+
+TEST(SynthDeterminism, BorrowRoundExtendMatchesFreshBuildSet) {
+  uint64_t IncExtends = 0, FreshExtends = 0;
+  std::vector<std::string> Inc = runBorrowRound(40, IncExtends);
+  std::vector<std::string> Fresh = runBorrowRound(0, FreshExtends);
+  ASSERT_GT(Inc.size(), 40u);
+  EXPECT_GE(IncExtends, 4u); // Every length was extended in place.
+  EXPECT_EQ(FreshExtends, 0u);
+  // The extended encodings enumerate exactly what a fresh build does,
+  // minus what was already emitted, so the emitted sets agree.
+  std::set<std::string> IncSet(Inc.begin(), Inc.end());
+  std::set<std::string> FreshSet(Fresh.begin(), Fresh.end());
+  EXPECT_EQ(IncSet.size(), Inc.size());
+  EXPECT_EQ(FreshSet.size(), Fresh.size());
+  EXPECT_EQ(IncSet, FreshSet);
+  // The round's additions really took part after the extension.
+  auto Uses = [&](const char *Name) {
+    return std::any_of(Inc.begin() + 40, Inc.end(),
+                       [&](const std::string &S) {
+                         return S.find(Name) != std::string::npos;
+                       });
+  };
+  EXPECT_TRUE(Uses("sink("));
+  EXPECT_TRUE(Uses("Blob::poke("));
+  EXPECT_TRUE(Uses("&mut "));
+}
+
 //===----------------------------------------------------------------------===//
 // Graph-guided encoding pruning
 //===----------------------------------------------------------------------===//
