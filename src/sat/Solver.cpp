@@ -85,25 +85,45 @@ void Solver::attachClause(ClauseRef Ref) {
   Watches[C[1].Code].push_back(Watcher{Ref, C[0]});
 }
 
-/// Normalizes the \p N literals at \p Lits in place: sorts, removes
+/// Normalizes the \p N sorted literals at \p Lits in place: removes
 /// duplicates and literals that are false at the root, and detects
-/// tautologies / satisfied clauses. Returns false if the clause is already
-/// satisfied or tautological (and therefore should not be added);
-/// otherwise shrinks \p N to the surviving literals.
+/// tautologies / satisfied clauses. Only root-level values count, so the
+/// result is the same whether or not assumption levels are kept. Returns
+/// false if the clause is already satisfied or tautological (and
+/// therefore should not be added); otherwise shrinks \p N to the
+/// surviving literals.
 bool Solver::addClausePreprocessed(Lit *Lits, size_t &N) {
-  assert(decisionLevel() == 0 && "preprocess only at the root level");
   Lit Prev = LitUndef;
   size_t Out = 0;
   for (size_t I = 0; I < N; ++I) {
     Lit L = Lits[I];
     assert(var(L) >= 0 && var(L) < numVars() && "literal over unknown var");
-    if (value(L) == Value::True || L == ~Prev)
+    Value V = rootValue(L);
+    if (V == Value::True || L == ~Prev)
       return false; // Satisfied at root, or a tautology.
-    if (value(L) == Value::False || L == Prev)
+    if (V == Value::False || L == Prev)
       continue; // Falsified at root, or duplicate.
     Lits[Out++] = Prev = L;
   }
   N = Out;
+  return true;
+}
+
+/// Moves two literals that are not false under the current assignment to
+/// the watch positions of the \p N literals at \p Lits. Returns false,
+/// leaving the order alone, if fewer than two exist: the clause would be
+/// unit or falsified under the kept assumption levels.
+bool Solver::placeWatchesAboveRoot(Lit *Lits, size_t N) {
+  size_t Placed = 0;
+  for (size_t I = 0; I < N && Placed < 2; ++I)
+    if (value(Lits[I]) != Value::False)
+      ++Placed;
+  if (Placed < 2)
+    return false;
+  Placed = 0;
+  for (size_t I = 0; Placed < 2; ++I)
+    if (value(Lits[I]) != Value::False)
+      std::swap(Lits[Placed++], Lits[I]);
   return true;
 }
 
@@ -117,10 +137,16 @@ bool Solver::addClauseInPlace(Lit *Lits, size_t N) {
     digestWord(static_cast<uint32_t>(Lits[I].Code));
   if (!Ok)
     return false;
-  if (decisionLevel() != 0)
-    cancelUntil(0);
   if (!addClausePreprocessed(Lits, N))
     return true; // Trivially satisfied; nothing to add.
+  // Under kept assumption levels a clause with two non-false literals
+  // can be watched on them as is; anything else (units, clauses unit or
+  // falsified under the kept assignment) goes through the root.
+  if (decisionLevel() != 0 && placeWatchesAboveRoot(Lits, N)) {
+    attachClause(allocClause(Lits, N, /*Learned=*/false));
+    return true;
+  }
+  cancelUntil(0);
   if (N == 0) {
     Ok = false;
     return false;
@@ -518,6 +544,7 @@ void Solver::heapInsert(Var V) {
 void Solver::heapUpdate(Var V) { heapPercolateUp(HeapPos[V]); }
 
 Var Solver::heapPop() {
+  ++Stats.HeapPops;
   Var Top = Heap[0].V;
   HeapPos[Top] = -1;
   Heap[0] = Heap.back();
@@ -819,11 +846,15 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumps) {
   uint64_t Conflicts0 = Stats.Conflicts;
   uint64_t Propagations0 = Stats.Propagations;
   uint64_t Restarts0 = Stats.Restarts;
+  uint64_t Kept0 = Stats.KeptAssignments;
+  uint64_t HeapPops0 = Stats.HeapPops;
   SolveResult Result = solveInner(Assumps);
   if (Obs) {
     uint64_t Conflicts = Stats.Conflicts - Conflicts0;
     uint64_t Propagations = Stats.Propagations - Propagations0;
     uint64_t Restarts = Stats.Restarts - Restarts0;
+    uint64_t Kept = Stats.KeptAssignments - Kept0;
+    uint64_t HeapPops = Stats.HeapPops - HeapPops0;
     Obs->instant("sat.solve", "sat",
                  obs::ArgList()
                      .add("result", Result == SolveResult::Sat ? "sat"
@@ -832,11 +863,15 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumps) {
                      .add("conflicts", Conflicts)
                      .add("propagations", Propagations)
                      .add("restarts", Restarts)
+                     .add("kept", Kept)
+                     .add("heap_pops", HeapPops)
                      .add("budget_hit", BudgetHit));
     Obs->count("sat.solve_calls");
     Obs->count("sat.conflicts", Conflicts);
     Obs->count("sat.propagations", Propagations);
     Obs->count("sat.restarts", Restarts);
+    Obs->count("sat.kept_assignments", Kept);
+    Obs->count("sat.heap_pops", HeapPops);
     Obs->observe("sat.conflicts_per_solve",
                  static_cast<double>(Conflicts));
   }
@@ -848,17 +883,27 @@ SolveResult Solver::solveInner(const std::vector<Lit> &Assumps) {
   HookFired = false;
   if (!Ok)
     return SolveResult::Unsat;
-  cancelUntil(0);
-  Assumptions = Assumps;
   if (MaxLearned == 0)
     MaxLearned = 4000;
-  if (propagate().Kind != Reason::None) {
-    Ok = false;
-    return SolveResult::Unsat;
+  // Levels kept from the previous Sat answer are fully propagated, so a
+  // solve under the same assumptions resumes from them.
+  if (decisionLevel() != 0 && Assumps == Assumptions) {
+    assert(QHead == Trail.size() && "kept levels must be propagated");
+    Stats.KeptAssignments += Trail.size() - static_cast<size_t>(TrailLim[0]);
+  } else {
+    cancelUntil(0);
+    Assumptions = Assumps;
+    if (propagate().Kind != Reason::None) {
+      Ok = false;
+      return SolveResult::Unsat;
+    }
   }
   SolveResult Result = search();
-  cancelUntil(0);
-  Assumptions.clear();
+  // Search places every assumption before its first decision, so a model
+  // sits at or above the assumption levels.
+  cancelUntil(Result == SolveResult::Sat
+                  ? static_cast<int>(Assumptions.size())
+                  : 0);
   return Result;
 }
 

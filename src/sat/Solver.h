@@ -17,6 +17,17 @@
 /// and incremental clause addition between solve() calls (used by
 /// Algorithm 1's model-blocking loop).
 ///
+/// After a Sat answer the solver keeps the assumption levels (their
+/// propagated trail) instead of returning to the root, and the next solve()
+/// under the same assumption vector resumes from them. A clause added in
+/// between is watched directly when two of its literals are not false under
+/// the kept assignment; every other change - a clause unit or falsified
+/// under it, a root unit, an at-most constraint, simplify(), different
+/// assumptions, an Unsat or Unknown answer - first returns to the root.
+/// Clause normalization reads root values only, so the stored formula and
+/// formulaDigest() do not depend on whether levels were kept. Solves
+/// without assumptions always start from the root (DESIGN.md 5k).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SYRUST_SAT_SOLVER_H
@@ -46,6 +57,11 @@ struct SolverStats {
   uint64_t LearnedClauses = 0;
   uint64_t DeletedClauses = 0;
   uint64_t CardPropagations = 0;
+  /// Trail entries above the root that solves resumed from instead of
+  /// re-deriving (assumption levels kept from the previous Sat answer).
+  uint64_t KeptAssignments = 0;
+  /// Variables popped off the VSIDS order heap, assigned ones included.
+  uint64_t HeapPops = 0;
 };
 
 /// CDCL solver. Not thread-safe; create one per synthesis task.
@@ -206,6 +222,11 @@ private:
     Value V = Assigns[var(L)];
     return sign(L) ? !V : V;
   }
+  /// Value of \p L at the root level; Undef above it.
+  Value rootValue(Lit L) const {
+    Value V = value(L);
+    return V != Value::Undef && level(var(L)) == 0 ? V : Value::Undef;
+  }
   int level(Var V) const { return VarInfo[V].Level; }
   int trailPos(Var V) const { return VarInfo[V].TrailPos; }
   int decisionLevel() const { return static_cast<int>(TrailLim.size()); }
@@ -243,6 +264,7 @@ private:
   void reduceDB();
   void attachClause(ClauseRef Ref);
   bool addClausePreprocessed(Lit *Lits, size_t &N);
+  bool placeWatchesAboveRoot(Lit *Lits, size_t N);
   /// addClause over a caller-owned buffer, which it normalizes in place.
   bool addClauseInPlace(Lit *Lits, size_t N);
   static uint64_t luby(uint64_t I);

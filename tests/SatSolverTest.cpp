@@ -719,6 +719,282 @@ TEST(EnumerationTest, AllUndefProjectionReportsExhaustionNotPoison) {
 }
 
 //===----------------------------------------------------------------------===//
+// Kept assumption levels
+//===----------------------------------------------------------------------===//
+
+TEST(KeptLevelTest, ResumedSolveSkipsGuardPropagation) {
+  // The selector forces a 40-var chain. Solves under the same assumption
+  // resume from the propagated chain instead of re-deriving it.
+  constexpr int Chain = 40;
+  Solver S;
+  auto Vars = makeVars(S, Chain + 4);
+  Var Sel = S.newVar();
+  ASSERT_TRUE(S.addClause(mkLit(Sel, true), mkLit(Vars[0])));
+  for (int I = 0; I + 1 < Chain; ++I)
+    ASSERT_TRUE(S.addClause(mkLit(Vars[I], true), mkLit(Vars[I + 1])));
+  ASSERT_EQ(S.solve({mkLit(Sel)}), SolveResult::Sat);
+  EXPECT_EQ(S.stats().KeptAssignments, 0u);
+  std::vector<Var> Free(Vars.begin() + Chain, Vars.end());
+  int Models = 1;
+  for (;;) {
+    std::vector<Lit> Block;
+    for (Var V : Free)
+      Block.push_back(mkLit(V, S.modelValue(V) == Value::True));
+    ASSERT_TRUE(S.addClause(Block));
+    uint64_t Props0 = S.stats().Propagations;
+    if (S.solve({mkLit(Sel)}) != SolveResult::Sat)
+      break;
+    ++Models;
+    EXPECT_LT(S.stats().Propagations - Props0, uint64_t{Chain});
+    for (int I = 0; I < Chain; ++I)
+      EXPECT_EQ(S.modelValue(Vars[I]), Value::True);
+  }
+  EXPECT_EQ(Models, 16);
+  EXPECT_GE(S.stats().KeptAssignments, uint64_t{15 * (Chain + 1)});
+}
+
+TEST(KeptLevelTest, ClauseUnitUnderKeptLevelIsPropagatedNotDecided) {
+  // Sel forces A. The clause (~A | B) is unit under the kept level, so
+  // the solver returns to the root and Sel's propagation now derives B:
+  // the next solve needs no decision at all.
+  Solver S;
+  Var A = S.newVar(), B = S.newVar(), Sel = S.newVar();
+  ASSERT_TRUE(S.addClause(mkLit(Sel, true), mkLit(A)));
+  ASSERT_EQ(S.solve({mkLit(Sel)}), SolveResult::Sat);
+  ASSERT_TRUE(S.addClause(mkLit(A, true), mkLit(B)));
+  uint64_t Decisions0 = S.stats().Decisions;
+  ASSERT_EQ(S.solve({mkLit(Sel)}), SolveResult::Sat);
+  EXPECT_EQ(S.stats().Decisions, Decisions0);
+  EXPECT_EQ(S.modelValue(B), Value::True);
+  EXPECT_EQ(S.stats().KeptAssignments, 0u);
+}
+
+TEST(KeptLevelTest, ClauseWithTwoOpenLiteralsKeepsTheLevel) {
+  Solver S;
+  Var A = S.newVar(), B = S.newVar(), C = S.newVar(), Sel = S.newVar();
+  ASSERT_TRUE(S.addClause(mkLit(Sel, true), mkLit(A)));
+  ASSERT_EQ(S.solve({mkLit(Sel)}), SolveResult::Sat);
+  // Falsified under the kept level is ~A only; B and C stay open.
+  ASSERT_TRUE(S.addClause(mkLit(A, true), mkLit(B, true), mkLit(C, true)));
+  ASSERT_EQ(S.solve({mkLit(Sel)}), SolveResult::Sat);
+  EXPECT_EQ(S.stats().KeptAssignments, 2u); // Sel and A.
+  EXPECT_FALSE(S.modelValue(B) == Value::True &&
+               S.modelValue(C) == Value::True);
+  // Another assumption vector starts from the root again.
+  ASSERT_EQ(S.solve({mkLit(Sel), mkLit(B)}), SolveResult::Sat);
+  EXPECT_EQ(S.stats().KeptAssignments, 2u);
+  EXPECT_EQ(S.modelValue(C), Value::False);
+}
+
+TEST(KeptLevelTest, PlainSolvesKeepNothing) {
+  Solver S;
+  auto Vars = makeVars(S, 3);
+  ASSERT_TRUE(S.addClause(mkLit(Vars[0]), mkLit(Vars[1])));
+  ModelEnumerator Enum(S, Vars);
+  while (Enum.next()) {
+  }
+  EXPECT_EQ(Enum.count(), 6u);
+  EXPECT_EQ(S.stats().KeptAssignments, 0u);
+}
+
+/// Every full assignment of a small formula, narrowed as constraints
+/// arrive and doubled by each new variable (bit V of an index is var V).
+class BruteForce {
+public:
+  void addVar() {
+    size_t N = Alive.size();
+    Alive.resize(2 * N);
+    std::copy_n(Alive.begin(), N,
+                Alive.begin() + static_cast<std::ptrdiff_t>(N));
+  }
+  void addClause(const std::vector<Lit> &C) {
+    for (uint32_t Bits = 0; Bits < Alive.size(); ++Bits)
+      if (std::none_of(C.begin(), C.end(),
+                       [Bits](Lit L) { return holds(L, Bits); }))
+        Alive[Bits] = 0;
+  }
+  void addAtMost(const std::vector<Lit> &Lits, int K) {
+    for (uint32_t Bits = 0; Bits < Alive.size(); ++Bits)
+      if (std::count_if(Lits.begin(), Lits.end(),
+                        [Bits](Lit L) { return holds(L, Bits); }) > K)
+        Alive[Bits] = 0;
+  }
+  bool alive(uint32_t Bits) const { return Alive[Bits] != 0; }
+  /// Alive assignments under which every literal of \p Assumps holds.
+  std::vector<uint32_t> models(const std::vector<Lit> &Assumps) const {
+    std::vector<uint32_t> Out;
+    for (uint32_t Bits = 0; Bits < Alive.size(); ++Bits)
+      if (Alive[Bits] && std::all_of(Assumps.begin(), Assumps.end(),
+                                     [Bits](Lit L) { return holds(L, Bits); }))
+        Out.push_back(Bits);
+    return Out;
+  }
+  static bool holds(Lit L, uint32_t Bits) {
+    return (((Bits >> var(L)) & 1) != 0) != sign(L);
+  }
+
+private:
+  std::vector<char> Alive = {1}; ///< No variables: one empty assignment.
+};
+
+/// Property: enumeration under assumptions stays exact while the formula,
+/// the variable set and the assumption vector change between solves -
+/// every way a kept assumption level is either reused or dropped.
+class KeptLevelPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(KeptLevelPropertyTest, EnumerationMatchesBruteForce) {
+  Rng R(GetParam() * 7919 + 3);
+  constexpr int N = 8;
+  constexpr int MaxExtraVars = 3;
+  Solver S;
+  BruteForce All;  // The solver's formula, blocking clauses included.
+  BruteForce Base; // The same without blocking clauses.
+  auto NewVar = [&] {
+    All.addVar();
+    Base.addVar();
+    return S.newVar();
+  };
+  auto AddClause = [&](const std::vector<Lit> &C) {
+    All.addClause(C);
+    Base.addClause(C);
+    S.addClause(C);
+  };
+  auto AddAtMost = [&](const std::vector<Lit> &Lits, int K) {
+    All.addAtMost(Lits, K);
+    Base.addAtMost(Lits, K);
+    S.addAtMost(Lits, K);
+  };
+  auto RandomLit = [&](const std::vector<Var> &Vars) {
+    return mkLit(Vars[R.below(Vars.size())], R.chance(0.5));
+  };
+
+  std::vector<Var> Proj;
+  for (int I = 0; I < N; ++I)
+    Proj.push_back(NewVar());
+  Var Sel = NewVar();
+  Lit Guard = mkLit(Sel);
+  // Two literals over distinct vars that the selector forces, so the kept
+  // level is known to falsify their negations.
+  Lit I0 = mkLit(Proj[0], R.chance(0.5));
+  Lit I1 = mkLit(Proj[1], R.chance(0.5));
+  AddClause({~Guard, I0});
+  AddClause({~Guard, I1});
+  int NumClauses = 3 + static_cast<int>(R.below(4));
+  for (int C = 0; C < NumClauses; ++C) {
+    std::vector<Lit> Cl;
+    int Len = 3 + static_cast<int>(R.below(2));
+    for (int L = 0; L < Len; ++L)
+      Cl.push_back(RandomLit(Proj));
+    if (C % 2 == 1)
+      Cl.push_back(~Guard);
+    AddClause(Cl);
+  }
+  auto RandomAtMost = [&] {
+    std::vector<Lit> Lits;
+    std::set<Var> Used;
+    int Len = 4 + static_cast<int>(R.below(3));
+    for (int L = 0; L < Len; ++L) {
+      Var V = Proj[R.below(N)];
+      if (Used.insert(V).second)
+        Lits.push_back(mkLit(V, R.chance(0.5)));
+    }
+    if (Lits.size() >= 4)
+      AddAtMost(Lits, 2 + static_cast<int>(R.below(Lits.size() - 3)));
+  };
+  RandomAtMost();
+
+  Lit T = mkLit(Proj[2 + R.below(N - 2)], R.chance(0.5));
+  const std::vector<std::vector<Lit>> Vectors = {{Guard}, {Guard, T}, {T}};
+  const std::vector<Lit> &Final = Vectors[0];
+  std::vector<Lit> Cur = Vectors[R.below(Vectors.size())];
+  std::set<uint32_t> Seen;
+  int ExtraVars = 0;
+  int Solves = 0;
+  uint64_t Budget = 0;
+  for (;;) {
+    ASSERT_LT(++Solves, 1000) << "enumeration does not terminate";
+    S.setConflictBudget(Budget);
+    SolveResult Res = S.solve(Cur);
+    if (Res == SolveResult::Unknown) {
+      // Gave up on budget: no verdict, resume under the same vector.
+      ASSERT_NE(Budget, 0u);
+      EXPECT_TRUE(S.budgetExhausted());
+      Budget = 0;
+      continue;
+    }
+    std::vector<uint32_t> Expected = All.models(Cur);
+    if (Res == SolveResult::Unsat) {
+      EXPECT_TRUE(Expected.empty()) << "Unsat with models left";
+      if (Cur == Final)
+        break;
+      Cur = Final;
+      continue;
+    }
+    ASSERT_FALSE(Expected.empty()) << "model of an unsatisfiable formula";
+    uint32_t Full = 0;
+    for (Var V = 0; V < S.numVars(); ++V) {
+      ASSERT_NE(S.modelValue(V), Value::Undef);
+      if (S.modelValue(V) == Value::True)
+        Full |= 1u << V;
+    }
+    EXPECT_TRUE(All.alive(Full)) << "model violates the formula";
+    for (Lit A : Cur)
+      EXPECT_TRUE(BruteForce::holds(A, Full)) << "model drops an assumption";
+    uint32_t Projected = Full & ((1u << N) - 1);
+    EXPECT_TRUE(Seen.insert(Projected).second)
+        << "repeated model " << Projected;
+    std::vector<Lit> Block;
+    for (Var V : Proj)
+      Block.push_back(mkLit(V, S.modelValue(V) == Value::True));
+    All.addClause(Block);
+    S.addClause(Block);
+
+    if (!R.chance(0.3))
+      continue;
+    switch (R.below(7)) {
+    case 0: // Unit under the kept level: both forced literals false.
+      AddClause({~I0, ~I1, RandomLit(Proj)});
+      break;
+    case 1: // Falsified under the {Guard, T} levels, not at the root.
+      AddClause({~I0, ~T});
+      break;
+    case 2: // Root unit.
+      if (R.chance(0.3))
+        AddClause({RandomLit(Proj)});
+      break;
+    case 3: // A new variable, then a clause that watches it.
+      if (ExtraVars < MaxExtraVars) {
+        ++ExtraVars;
+        Var V = NewVar();
+        AddClause({mkLit(V, R.chance(0.5)), RandomLit(Proj), RandomLit(Proj)});
+      }
+      break;
+    case 4:
+      RandomAtMost();
+      break;
+    case 5: // A different assumption vector.
+      Cur = Vectors[R.below(Vectors.size())];
+      break;
+    case 6: // One-conflict budgets until a solve answers Unknown.
+      Budget = 1;
+      break;
+    }
+  }
+  // Every projected model of the final formula (without the blocking
+  // clauses) under the final assumptions was enumerated.
+  std::set<uint32_t> Want;
+  for (uint32_t Bits : Base.models(Final))
+    Want.insert(Bits & ((1u << N) - 1));
+  size_t Found = 0;
+  for (uint32_t P : Want)
+    Found += Seen.count(P);
+  EXPECT_EQ(Found, Want.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KeptLevelPropertyTest,
+                         ::testing::Range<uint64_t>(0, 40));
+
+//===----------------------------------------------------------------------===//
 // Strategy table and portfolio racing
 //===----------------------------------------------------------------------===//
 
