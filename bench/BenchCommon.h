@@ -79,9 +79,10 @@ public:
   }
 
   /// Records one run: \p HostSeconds is the run's host wall time, the
-  /// per-stage breakdown and cache/solver counters come from \p R.
+  /// per-stage breakdown and cache/solver counters come from \p R, and
+  /// the members of \p Extra (a JSON object) are added as they are.
   void addRun(const std::string &Label, const core::RunResult &R,
-              double HostSeconds) {
+              double HostSeconds, const json::Value &Extra = {}) {
     json::Value E = json::Value::object();
     E.set("label", json::Value::string(Label));
     E.set("crate", json::Value::string(R.Crate));
@@ -115,6 +116,8 @@ public:
               Probes == 0 ? 0.0
                           : static_cast<double>(Hits) /
                                 static_cast<double>(Probes)));
+    for (const auto &[Key, V] : Extra.members())
+      E.set(Key, V);
     Runs.push(std::move(E));
   }
 

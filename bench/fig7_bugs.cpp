@@ -12,6 +12,11 @@
 /// minimum lines {1, 3, 5, 4}, and *1 discovered nearly instantly while
 /// the multi-call chains take orders of magnitude longer.
 ///
+/// The bench is also a gate: it exits nonzero when any bug crate misses
+/// its bug, reports a UB kind other than its BugInfo::Kind, or is not
+/// minimized to BugInfo::MinLines lines. A change to the solver's model
+/// order must keep it passing.
+///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -38,14 +43,34 @@ int main() {
   BenchJson J("fig7_bugs");
   J.meta("budget_sim_seconds", json::Value::number(Budget));
 
-  for (const CrateSpec *Spec : buggyCrates()) {
+  std::vector<const CrateSpec *> Buggy = buggyCrates();
+  int Failures = 0;
+  for (const CrateSpec *Spec : Buggy) {
+    const BugInfo &Bug = *Spec->Bug;
     RunConfig Config;
     Config.BudgetSeconds = Budget;
     Config.StopOnFirstBug = true;
     Config.MinimizeBugs = true;
     WallTimer W;
     RunResult R = S.runOne(*Spec, Config);
-    J.addRun(Spec->Bug->Label, R, W.seconds());
+    const char *Kind = R.BugFound ? miri::ubKindName(R.FirstBug.Kind) : "none";
+    json::Value Gate = json::Value::object();
+    Gate.set("found", json::Value::boolean(R.BugFound));
+    Gate.set("kind", json::Value::string(Kind));
+    Gate.set("bug_lines", json::Value::integer(R.BugLines));
+    Gate.set("minimized_lines", json::Value::integer(R.MinimizedLines));
+    Gate.set("min_lines", json::Value::integer(Bug.MinLines));
+    J.addRun(Bug.Label, R, W.seconds(), Gate);
+    if (!R.BugFound || R.FirstBug.Kind != Bug.Kind ||
+        R.MinimizedLines != Bug.MinLines) {
+      ++Failures;
+      std::fprintf(stderr,
+                   "fig7: %s (%s) fails the gate: found=%d kind=%s "
+                   "(want %s) minimized_lines=%d (want %d)\n",
+                   Bug.Label.c_str(), Spec->Info.Name.c_str(), R.BugFound,
+                   Kind, miri::ubKindName(Bug.Kind), R.MinimizedLines,
+                   Bug.MinLines);
+    }
     if (!R.BugFound) {
       T.addRow({Spec->Bug->Label, Spec->Info.Name, Spec->Bug->BugType,
                 fmtCount(static_cast<uint64_t>(Spec->Bug->MinLines)),
@@ -69,5 +94,10 @@ int main() {
   for (const auto &[Title, Source] : Programs)
     std::printf("--- %s\n%s\n", Title.c_str(), Source.c_str());
   J.write();
+  if (Failures) {
+    std::fprintf(stderr, "fig7: %d of %zu bug crates fail the gate\n",
+                 Failures, Buggy.size());
+    return 1;
+  }
   return 0;
 }
