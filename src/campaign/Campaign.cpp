@@ -40,10 +40,6 @@ bool syrust::campaign::applyVariant(const std::string &Name,
     Config.MutateInputs = true; // Section 7.4.2.
     return true;
   }
-  if (Name == "portfolio") {
-    Config.Portfolio = true; // Strategy racing; streams stay identical.
-    return true;
-  }
   if (Name == "coverage-bias") {
     // Coverage-guided enumeration bias. Unlike the variants above, this
     // deliberately *changes* the emitted stream (see DESIGN.md 5h). The
@@ -83,8 +79,7 @@ CampaignSpec::validate(const Session &S) const {
       Errors.push_back("CampaignSpec.Variants names unknown variant '" +
                        V +
                        "'; known: base, no-semantic, eager, lazy, "
-                       "interleave, mutate-inputs, portfolio, "
-                       "coverage-bias");
+                       "interleave, mutate-inputs, coverage-bias");
   }
   if (Jobs < 1)
     Errors.push_back("CampaignSpec.Jobs must be at least 1, got " +

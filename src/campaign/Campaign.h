@@ -115,8 +115,8 @@ struct CampaignResult {
 
 /// Applies a named variant to \p Config. Vocabulary: "base" (identity),
 /// "no-semantic", "eager", "lazy", "interleave", "mutate-inputs",
-/// "portfolio", "coverage-bias" (forces InterleaveLengths; the only
-/// variant that changes the emitted program stream by design).
+/// "coverage-bias" (forces InterleaveLengths; the only variant that
+/// changes the emitted program stream by design).
 /// Returns false for an unknown name.
 bool applyVariant(const std::string &Name, core::RunConfig &Config);
 

@@ -127,22 +127,6 @@ const OptionDef Options[] = {
        runConfigOf(S)->SolveConflictBudget = static_cast<uint64_t>(Val);
        return std::string();
      }},
-    {"--strategy", VRun | VCampaign | VAudit, OptionDef::Str,
-     [](RequestSpec &S, const std::string &Text, double) {
-       if (S.V == Verb::Audit)
-         S.Audit.Spec.Base.Strategy = Text;
-       else
-         runConfigOf(S)->Strategy = Text;
-       return std::string();
-     }},
-    {"--portfolio", VRun | VCampaign | VAudit, OptionDef::Flag_,
-     [](RequestSpec &S, const std::string &, double) {
-       if (S.V == Verb::Audit)
-         S.Audit.Spec.Base.Portfolio = true;
-       else
-         runConfigOf(S)->Portfolio = true;
-       return std::string();
-     }},
     {"--bias-coverage", VRun | VCampaign, OptionDef::Flag_,
      [](RequestSpec &S, const std::string &, double) {
        // Forces interleaved mode: the biased episode leg replaces the
@@ -657,9 +641,7 @@ std::string syrust::cli::usageText() {
   return "usage: syrust list\n"
          "       syrust run <crate> [--budget N] [--seed N] [--apis N]\n"
          "                  [--no-semantic] [--eager] [--lazy]\n"
-         "                  [--interleave] [--mutate-inputs] "
-         "[--portfolio]\n"
-         "                  [--strategy NAME]\n"
+         "                  [--interleave] [--mutate-inputs]\n"
          "                  [--solve-budget N] [--stop-on-bug] "
          "[--minimize] [--max-tests N]\n"
          "                  [--log-tests N] [--json-errors] [--json]\n"
@@ -669,16 +651,13 @@ std::string syrust::cli::usageText() {
          "                  [--connect SOCKET]\n"
          "       syrust campaign [--crates all|a,b,c] [--seeds N[..M]]\n"
          "                  [--variants v1,v2] [--jobs N] [--budget N]\n"
-         "                  [--apis N] [--max-tests N]\n"
-         "                  [--portfolio] [--strategy NAME] "
-         "[--solve-budget N]\n"
+         "                  [--apis N] [--max-tests N] [--solve-budget N]\n"
          "                  [--out DIR] [--trace] [--coverage-out FILE]\n"
          "                  [--bias-coverage] [--checkpoint FILE] "
          "[--connect SOCKET]\n"
          "       syrust audit [--crates all|a,b,c] [--seeds N[..M]]\n"
          "                  [--apis N] [--max-lines N] [--max-models N]\n"
          "                  [--jobs N] [--weaken-kills]\n"
-         "                  [--portfolio] [--strategy NAME]\n"
          "                  [--out DIR] [--json] [--coverage-out FILE]\n"
          "                  [--connect SOCKET]\n"
          "       syrust report <trace.json>\n"

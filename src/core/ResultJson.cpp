@@ -156,14 +156,6 @@ json::Value syrust::core::resultToJson(const RunResult &R,
                 static_cast<int64_t>(R.Synth.CompatBaseHits)));
   Synth.set("compat_cache_misses",
             Value::integer(static_cast<int64_t>(R.Synth.CompatMisses)));
-  Synth.set("portfolio_races",
-            Value::integer(static_cast<int64_t>(R.Synth.PortfolioRaces)));
-  Synth.set("portfolio_unsat_wins",
-            Value::integer(
-                static_cast<int64_t>(R.Synth.PortfolioUnsatWins)));
-  Synth.set("portfolio_cancels",
-            Value::integer(
-                static_cast<int64_t>(R.Synth.PortfolioCancels)));
   Synth.set("prune_graph_probes",
             Value::integer(
                 static_cast<int64_t>(R.Synth.PruneGraphProbes)));
@@ -418,9 +410,6 @@ bool syrust::core::resultFromJson(const Value &V, RunResult &Out,
     Out.Synth.CompatHits = S.u64("compat_cache_hits");
     Out.Synth.CompatBaseHits = S.u64("compat_cache_base_hits");
     Out.Synth.CompatMisses = S.u64("compat_cache_misses");
-    Out.Synth.PortfolioRaces = S.u64("portfolio_races");
-    Out.Synth.PortfolioUnsatWins = S.u64("portfolio_unsat_wins");
-    Out.Synth.PortfolioCancels = S.u64("portfolio_cancels");
     Out.Synth.PruneGraphProbes = S.u64("prune_graph_probes");
     Out.Synth.PruneFallbackProbes = S.u64("prune_fallback_probes");
     Out.Synth.PruneDeadSites = S.u64("prune_dead_sites");
@@ -464,8 +453,6 @@ json::Value syrust::core::runConfigToJson(const RunConfig &C) {
                                ? "lazy"
                                : "hybrid";
   V.set("mode", Value::string(Mode));
-  V.set("portfolio", Value::boolean(C.Portfolio));
-  V.set("strategy", Value::string(C.Strategy));
   V.set("solve_conflict_budget",
         Value::integer(static_cast<int64_t>(C.SolveConflictBudget)));
   V.set("eager_cap", Value::integer(static_cast<int64_t>(C.EagerCap)));

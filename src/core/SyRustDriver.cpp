@@ -10,7 +10,6 @@
 #include "miri/Interpreter.h"
 #include "rustsim/Checker.h"
 #include "rustsim/DiagnosticJson.h"
-#include "sat/SolverStrategy.h"
 
 #include <cassert>
 #include <cstdio>
@@ -64,10 +63,12 @@ std::vector<std::string> RunConfig::validate() const {
     Errors.push_back(numField("CurveSamples", CurveSamples,
                               "at least 2 (a curve needs a start and an "
                               "end point)"));
-  if (!Strategy.empty() && !sat::findStrategy(Strategy))
-    Errors.push_back("RunConfig.Strategy '" + Strategy +
-                     "' is not a known solver strategy (known: " +
-                     sat::knownStrategyNames() + ")");
+  if (Portfolio)
+    Errors.push_back("RunConfig.Portfolio was removed (the solver "
+                     "portfolio no longer exists); leave it false");
+  if (!Strategy.empty())
+    Errors.push_back("RunConfig.Strategy was removed (the solver runs one "
+                     "fixed configuration); leave it empty");
   return Errors;
 }
 
@@ -242,8 +243,6 @@ RunResult SyRustDriver::run() {
   Opts.SemanticAware = Config.SemanticAware;
   Opts.InterleaveLengths = Config.InterleaveLengths;
   Opts.IncrementalRefinement = Config.IncrementalRefinement;
-  Opts.Portfolio = Config.Portfolio;
-  Opts.Strategy = Config.Strategy;
   if (Config.SolveConflictBudget != 0)
     Opts.SolveConflictBudget = Config.SolveConflictBudget;
   Opts.SolverSeed = Config.Seed;

@@ -71,21 +71,13 @@ struct RunConfig {
   /// Polymorphism strategy; PurelyEager = the RQ3 variant.
   refine::RefinementMode Mode = refine::RefinementMode::Hybrid;
 
-  /// Race the solver-strategy portfolio (sat/SolverStrategy.h) on hard
-  /// solve episodes. Emitted programs are byte-identical on or off; the
-  /// helpers only turn budget-stop Unknowns into real Unsat proofs, which
-  /// spares the synthesizer futile re-solves of exhausted lengths.
+  /// Read by nothing; kept only so e2ebench compiles. validate()
+  /// rejects any value but the default.
   bool Portfolio = false;
-
-  /// Run one named solver configuration instead of the baseline. Must be
-  /// a name sat::findStrategy() knows; validate() rejects anything else.
-  /// Unlike Portfolio this changes the program stream (explicit opt-in).
-  /// Ignored when Portfolio is set. Empty = baseline.
   std::string Strategy;
 
   /// Per-solve conflict budget handed to the encoder; 0 keeps the
-  /// SynthOptions default. The portfolio micro benchmark lowers this so
-  /// budget exhaustion actually occurs at bench scale.
+  /// SynthOptions default.
   uint64_t SolveConflictBudget = 0;
 
   /// Cap on eager instantiations per API.

@@ -8,7 +8,6 @@
 
 #include "core/CrateAnalysis.h"
 #include "rustsim/Checker.h"
-#include "sat/SolverStrategy.h"
 #include "synth/Synthesizer.h"
 
 #include <algorithm>
@@ -37,10 +36,6 @@ std::vector<std::string> OracleConfig::validate() const {
   if (EagerCap == 0)
     Errors.push_back("OracleConfig.EagerCap must be nonzero (a zero cap "
                      "would forbid every eager instantiation)");
-  if (!Strategy.empty() && !sat::findStrategy(Strategy))
-    Errors.push_back("OracleConfig.Strategy '" + Strategy +
-                     "' is not a known solver strategy (known: " +
-                     sat::knownStrategyNames() + ")");
   return Errors;
 }
 
@@ -170,8 +165,6 @@ AuditResult syrust::oracle::auditOne(const Session &S,
   SynthOptions Opts;
   Opts.SemanticAware = true;
   Opts.IncrementalRefinement = true;
-  Opts.Portfolio = Config.Portfolio;
-  Opts.Strategy = Config.Strategy;
   Opts.SolverSeed = Config.Seed;
   Opts.Obs = Obs;
   Opts.Compat = &Compat;

@@ -74,14 +74,6 @@ struct OracleConfig {
   refine::RefinementMode Mode = refine::RefinementMode::Hybrid;
   /// Cap on eager instantiations per API (matches RunConfig).
   size_t EagerCap = 48;
-  /// Race the solver-strategy portfolio during the audited enumeration
-  /// (the audited stream is byte-identical either way; this exercises
-  /// the portfolio path under the agreement oracle).
-  bool Portfolio = false;
-  /// Named solver configuration for the audited enumeration; must be a
-  /// name sat::findStrategy() knows (validate() rejects anything else).
-  /// Empty = baseline.
-  std::string Strategy;
   /// Canary hook: drop the encoder's consumption-kill clauses
   /// (SynthOptions::WeakenConsumptionKills) so use-after-move programs
   /// get emitted. The oracle MUST then report unexpected Ownership

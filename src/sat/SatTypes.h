@@ -67,13 +67,9 @@ constexpr Value operator!(Value V) {
 }
 
 /// Result of a solver query. Unknown means the search stopped without a
-/// verdict (conflict budget exhausted, or interrupted by a portfolio
-/// cancellation) - it is never a proof, and callers must not retire any
-/// part of the search space on it.
+/// verdict (conflict budget exhausted) - it is never a proof, and callers
+/// must not retire any part of the search space on it.
 enum class SolveResult : uint8_t { Sat, Unsat, Unknown };
-
-/// Restart schedule selector for the CDCL search (see SolverStrategy.h).
-enum class RestartPolicy : uint8_t { Luby, Geometric };
 
 } // namespace syrust::sat
 

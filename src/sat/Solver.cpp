@@ -7,7 +7,6 @@
 #include "sat/Solver.h"
 
 #include "obs/Recorder.h"
-#include "sat/SolverStrategy.h"
 
 #include <algorithm>
 #include <cassert>
@@ -16,12 +15,15 @@
 using namespace syrust::sat;
 
 namespace {
-// EVSIDS / clause-activity tuning constants (MiniSat defaults). The
-// restart schedule and random-decision frequency are per-solver knobs
-// (SolverStrategy); their defaults match the historical constants here.
+// EVSIDS / clause-activity tuning constants (MiniSat defaults).
 constexpr double VarDecay = 0.95;
 constexpr double ClaDecay = 0.999;
 constexpr double RescaleLimit = 1e100;
+// Luby restart unit (conflicts) and the fraction of random decisions.
+constexpr uint64_t RestartUnit = 100;
+constexpr double RandomFreq = 0.02;
+// Initial saved phase of a new variable: 1 = false (the MiniSat default).
+constexpr char DefaultPhase = 1;
 } // namespace
 
 Solver::Solver() = default;
@@ -36,7 +38,7 @@ Var Solver::newVar() {
   Assigns.push_back(Value::Undef);
   VarInfo.push_back(VarData{});
   Activity.push_back(0.0);
-  Polarity.push_back(DefaultPhase); // 1 = false (the MiniSat default).
+  Polarity.push_back(DefaultPhase);
   HeapPos.push_back(-1);
   Seen.push_back(0);
   Watches.emplace_back();
@@ -593,16 +595,6 @@ void Solver::setRandomSeed(uint64_t Seed) {
   RandomState = Seed | 1; // xorshift state must be nonzero.
 }
 
-void Solver::applyStrategy(const SolverStrategy &S) {
-  RestartMode = S.Restart;
-  RestartUnit = S.RestartUnit;
-  RestartGrowth = S.RestartGrowth;
-  RandomFreq = S.RandomFreq;
-  DefaultPhase = S.PositivePhase ? 0 : 1;
-  for (char &P : Polarity)
-    P = DefaultPhase;
-}
-
 Lit Solver::pickBranchLit() {
   // Occasional random decision for diversification.
   auto NextRandom = [this]() {
@@ -737,26 +729,13 @@ uint64_t Solver::luby(uint64_t I) {
 }
 
 SolveResult Solver::search() {
-  uint64_t RestartNum = 0;
+  uint64_t RestartNum = 1;
   uint64_t ConflictsAtStart = Stats.Conflicts;
-  auto NextRestartLimit = [this, &RestartNum]() {
-    ++RestartNum;
-    if (RestartMode == RestartPolicy::Luby)
-      return luby(RestartNum) * RestartUnit;
-    double Limit = static_cast<double>(RestartUnit);
-    for (uint64_t I = 1; I < RestartNum; ++I)
-      Limit *= RestartGrowth;
-    return static_cast<uint64_t>(Limit) + 1;
-  };
-  uint64_t ConflictsUntilRestart = NextRestartLimit();
+  uint64_t ConflictsUntilRestart = luby(RestartNum) * RestartUnit;
   uint64_t ConflictsThisRestart = 0;
   std::vector<Lit> Learned;
 
   for (;;) {
-    if (Interrupt && Interrupt->load(std::memory_order_relaxed)) {
-      cancelUntil(0);
-      return SolveResult::Unknown;
-    }
     Reason Conflict = propagate();
     if (Conflict.Kind != Reason::None) {
       ++Stats.Conflicts;
@@ -781,11 +760,6 @@ SolveResult Solver::search() {
       }
       varDecayActivity();
       claDecayActivity();
-      if (Hook && !HookFired &&
-          Stats.Conflicts - ConflictsAtStart >= HookThreshold) {
-        HookFired = true;
-        Hook();
-      }
       if (ConflictBudget != 0 &&
           Stats.Conflicts - ConflictsAtStart >= ConflictBudget) {
         // Out of budget: no verdict. Returning Unsat here would let a
@@ -800,7 +774,7 @@ SolveResult Solver::search() {
 
     if (ConflictsThisRestart >= ConflictsUntilRestart) {
       ++Stats.Restarts;
-      ConflictsUntilRestart = NextRestartLimit();
+      ConflictsUntilRestart = luby(++RestartNum) * RestartUnit;
       ConflictsThisRestart = 0;
       cancelUntil(0);
       continue;
@@ -880,7 +854,6 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumps) {
 
 SolveResult Solver::solveInner(const std::vector<Lit> &Assumps) {
   BudgetHit = false;
-  HookFired = false;
   if (!Ok)
     return SolveResult::Unsat;
   if (MaxLearned == 0)

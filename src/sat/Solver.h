@@ -35,9 +35,7 @@
 
 #include "sat/SatTypes.h"
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace syrust::obs {
@@ -45,8 +43,6 @@ class Recorder;
 } // namespace syrust::obs
 
 namespace syrust::sat {
-
-struct SolverStrategy;
 
 /// Aggregate search statistics, exposed for the micro benchmarks.
 struct SolverStats {
@@ -144,29 +140,6 @@ public:
 
   /// Seeds the random tie-breaking used for a small fraction of decisions.
   void setRandomSeed(uint64_t Seed);
-
-  /// Applies a search configuration (restart schedule, phase
-  /// initialization, random-decision frequency). Call before adding
-  /// variables: the phase default only affects variables created after.
-  void applyStrategy(const SolverStrategy &S);
-
-  /// Cooperative cancellation: while \p Flag (owned by the caller) reads
-  /// true, any in-flight search() returns Unknown at the next decision
-  /// boundary. Null (the default) disables the check. Used by the
-  /// portfolio runner to cancel losing configurations.
-  void setInterrupt(const std::atomic<bool> *Flag) { Interrupt = Flag; }
-
-  /// Registers a one-shot callback fired from inside the next solve()
-  /// once its episode accumulates \p ConflictThreshold conflicts. The
-  /// trigger point is a deterministic property of the search (conflict
-  /// counts do not depend on timing), so hook-launched work - the
-  /// portfolio uses this to start helper racers only on hard episodes -
-  /// starts at the same logical point on every run. Null clears it.
-  void setProgressHook(uint64_t ConflictThreshold,
-                       std::function<void()> Callback) {
-    HookThreshold = ConflictThreshold;
-    Hook = std::move(Callback);
-  }
 
   /// Attaches the flight recorder; every solve() then emits a `sat.solve`
   /// trace event with its conflict/propagation/restart deltas and bumps
@@ -315,18 +288,6 @@ private:
   double MaxLearned = 0;
   uint64_t RandomState = 0x9e3779b97f4a7c15ULL;
   obs::Recorder *Obs = nullptr;
-
-  // Strategy knobs (defaults reproduce the historical fixed constants).
-  RestartPolicy RestartMode = RestartPolicy::Luby;
-  uint64_t RestartUnit = 100;
-  double RestartGrowth = 1.5; ///< Geometric schedule only.
-  double RandomFreq = 0.02;
-  char DefaultPhase = 1; ///< Initial saved phase of new vars (1 = false).
-
-  const std::atomic<bool> *Interrupt = nullptr;
-  uint64_t HookThreshold = 0;
-  std::function<void()> Hook;
-  bool HookFired = false;
 
   SolverStats Stats;
   uint64_t Digest = 1469598103934665603ull; ///< See formulaDigest().

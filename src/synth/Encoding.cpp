@@ -78,9 +78,8 @@ Encoding::Encoding(TypeArena &Arena, const TraitEnv &Traits,
                    const SynthOptions &Opts)
     : Arena(Arena), Traits(Traits), Db(Db), Inputs(Inputs),
       NumLines(NumLines), Opts(Opts) {
-  // Mode selection must precede everything else: the portfolio's op log
-  // has to see every variable and clause.
-  Solver.configure(Opts.Portfolio, Opts.Strategy);
+  assert(!Opts.Portfolio && Opts.Strategy.empty() &&
+         "the solver portfolio and strategies were removed");
   Solver.setRandomSeed(Opts.SolverSeed);
   Solver.setRecorder(Opts.Obs);
   sync();
@@ -221,13 +220,8 @@ void Encoding::sync() {
   buildCallSites();
   buildContextConstraints();
   if (Opts.SemanticAware) {
-    // The ownership/borrow clauses are the CEGAR strategy's lazy tier: it
-    // solves without them and materializes only the ones a candidate
-    // model violates, with the model acting as the counterexample.
     Buckets<BorrowUse> Borrows = indexBorrows();
-    Solver.beginLazy();
     buildSemanticConstraints(Borrows);
-    Solver.endLazy();
     buildRedundancyConstraints(Borrows);
   }
   buildBlockedCombos();

@@ -50,7 +50,6 @@
 #include "api/DependencyGraph.h"
 #include "obs/Recorder.h"
 #include "program/Program.h"
-#include "sat/Portfolio.h"
 #include "sat/Solver.h"
 #include "types/CompatCache.h"
 #include "types/Subtyping.h"
@@ -60,6 +59,7 @@
 #include <functional>
 #include <map>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -84,16 +84,8 @@ struct SynthOptions {
   /// Conflict budget per solve (0 = unlimited).
   uint64_t SolveConflictBudget = 200000;
   uint64_t SolverSeed = 1;
-  /// Race the fixed strategy portfolio (sat/SolverStrategy.h) on every
-  /// solve episode that proves hard. Emitted programs are byte-identical
-  /// with the portfolio on or off: member 0 is the unmodified baseline
-  /// solver and helper racers only contribute Unsat proofs for episodes
-  /// the baseline abandons at its conflict budget.
+  /// Read by nothing; kept only so e2ebench compiles. Must stay default.
   bool Portfolio = false;
-  /// Run one named solver configuration instead of the baseline (must be
-  /// a name sat::findStrategy knows; validate before constructing the
-  /// encoder). Unlike Portfolio this *does* change the program stream -
-  /// it is an explicit opt-in. Ignored when Portfolio is set.
   std::string Strategy;
   /// Flight recorder for trace events and metrics; null (the default)
   /// disables instrumentation at the cost of one pointer check.
@@ -236,11 +228,6 @@ public:
   size_t numSatVars() const { return VarCount; }
   size_t numCandidates() const { return TotalCandidates; }
   const sat::SolverStats &solverStats() const { return Solver.stats(); }
-  /// Deterministic portfolio race counters (all zero when the portfolio
-  /// is off).
-  const sat::PortfolioStats &portfolioStats() const {
-    return Solver.portfolioStats();
-  }
   /// Digest of every constraint handed to the solver so far
   /// (sat::Solver::formulaDigest); reported per sync in the trace.
   uint64_t formulaDigest() const { return Solver.formulaDigest(); }
@@ -441,7 +428,7 @@ private:
   /// Signatures of every model blocked so far (incremental mode only).
   std::vector<ModelSig> BlockedSigs;
 
-  mutable sat::Portfolio Solver;
+  mutable sat::Solver Solver;
   size_t VarCount = 0;
   size_t TotalCandidates = 0;
   PruneStats Prune;

@@ -88,9 +88,6 @@ void Synthesizer::retireEncoding(std::unique_ptr<Encoding> &E) {
     return;
   RetiredConflicts += E->solverStats().Conflicts;
   RetiredPropagations += E->solverStats().Propagations;
-  RetiredRaces += E->portfolioStats().Races;
-  RetiredUnsatWins += E->portfolioStats().UnsatWins;
-  RetiredCancels += E->portfolioStats().Cancels;
   const PruneStats &P = E->pruneStats();
   RetiredPrune.GraphProbes += P.GraphProbes;
   RetiredPrune.FallbackProbes += P.FallbackProbes;
@@ -108,16 +105,10 @@ void Synthesizer::retireEncoding(std::unique_ptr<Encoding> &E) {
 void Synthesizer::refreshSolverStats() {
   uint64_t Conflicts = RetiredConflicts;
   uint64_t Propagations = RetiredPropagations;
-  uint64_t Races = RetiredRaces;
-  uint64_t UnsatWins = RetiredUnsatWins;
-  uint64_t Cancels = RetiredCancels;
   PruneStats Prune = RetiredPrune;
   auto Absorb = [&](const Encoding &E) {
     Conflicts += E.solverStats().Conflicts;
     Propagations += E.solverStats().Propagations;
-    Races += E.portfolioStats().Races;
-    UnsatWins += E.portfolioStats().UnsatWins;
-    Cancels += E.portfolioStats().Cancels;
     Prune.GraphProbes += E.pruneStats().GraphProbes;
     Prune.FallbackProbes += E.pruneStats().FallbackProbes;
     Prune.DeadSites += E.pruneStats().DeadSites;
@@ -131,9 +122,6 @@ void Synthesizer::refreshSolverStats() {
       Absorb(*E);
   Stats.SolverConflicts = Conflicts;
   Stats.SolverPropagations = Propagations;
-  Stats.PortfolioRaces = Races;
-  Stats.PortfolioUnsatWins = UnsatWins;
-  Stats.PortfolioCancels = Cancels;
   Stats.PruneGraphProbes = Prune.GraphProbes;
   Stats.PruneFallbackProbes = Prune.FallbackProbes;
   Stats.PruneDeadSites = Prune.DeadSites;

@@ -78,15 +78,6 @@ struct SynthStats {
   uint64_t CompatHits = 0;
   uint64_t CompatBaseHits = 0;
   uint64_t CompatMisses = 0;
-  /// Portfolio race outcomes summed over all encodings (zero with the
-  /// portfolio off). Races counts episodes where helper racers launched;
-  /// UnsatWins counts baseline Unknowns upgraded to real Unsat proofs by
-  /// a helper; Cancels counts cancellation signals sent to losing racers.
-  /// All three are deterministic (functions of the solve-episode
-  /// sequence, not of thread timing).
-  uint64_t PortfolioRaces = 0;
-  uint64_t PortfolioUnsatWins = 0;
-  uint64_t PortfolioCancels = 0;
   /// Encoding-build pruning outcomes summed over all encodings this
   /// synthesizer ever owned (synth::PruneStats). The graph/fallback
   /// probe split reflects the GraphPrune setting; dead-site elimination
@@ -196,9 +187,6 @@ private:
   /// Solver-stat totals of encodings retired so far.
   uint64_t RetiredConflicts = 0;
   uint64_t RetiredPropagations = 0;
-  uint64_t RetiredRaces = 0;
-  uint64_t RetiredUnsatWins = 0;
-  uint64_t RetiredCancels = 0;
   /// Prune-stat totals of encodings retired so far (same absorb
   /// pattern: totals = retired + live encodings).
   PruneStats RetiredPrune;

@@ -117,6 +117,16 @@ TEST(RunConfigValidateTest, RejectsDegenerateCurve) {
   EXPECT_TRUE(contains(E, "RunConfig.CurveSamples must be at least 2"));
 }
 
+TEST(RunConfigValidateTest, RejectsRemovedSolverPortfolioFields) {
+  RunConfig C;
+  C.Portfolio = true;
+  C.Strategy = "baseline";
+  std::vector<std::string> E = C.validate();
+  ASSERT_EQ(E.size(), 2u);
+  EXPECT_TRUE(contains(E, "RunConfig.Portfolio was removed"));
+  EXPECT_TRUE(contains(E, "RunConfig.Strategy was removed"));
+}
+
 TEST(RunConfigValidateTest, ReportsEveryProblemAtOnce) {
   RunConfig C;
   C.BudgetSeconds = -1;
@@ -167,14 +177,14 @@ TEST(CampaignSpecValidateTest, RejectsUnknownVariant) {
   EXPECT_TRUE(contains(E, "unknown variant 'turbo'"));
   EXPECT_TRUE(contains(E, "known: base, no-semantic, eager"));
   // The known-variants list must track the full applyVariant vocabulary.
-  EXPECT_TRUE(contains(E, "portfolio"));
   EXPECT_TRUE(contains(E, "coverage-bias"));
 }
 
 TEST(CampaignSpecValidateTest, RejectsRetiredProbeVariants) {
   Session S;
   for (const char *Retired :
-       {"no-compat-cache", "no-graph-prune", "no-incremental"}) {
+       {"no-compat-cache", "no-graph-prune", "no-incremental",
+        "portfolio"}) {
     CampaignSpec Spec = quadSpec();
     Spec.Variants = {"base", Retired};
     std::vector<std::string> E = Spec.validate(S);
@@ -183,8 +193,7 @@ TEST(CampaignSpecValidateTest, RejectsRetiredProbeVariants) {
         << Retired;
     // The message lists the remaining vocabulary, and only that.
     EXPECT_TRUE(contains(E, "known: base, no-semantic, eager, lazy, "
-                            "interleave, mutate-inputs, portfolio, "
-                            "coverage-bias"))
+                            "interleave, mutate-inputs, coverage-bias"))
         << Retired;
     RunConfig C;
     EXPECT_FALSE(applyVariant(Retired, C)) << Retired;
@@ -243,8 +252,6 @@ TEST(CampaignTest, ApplyVariantCoversTheVocabulary) {
   EXPECT_TRUE(C.InterleaveLengths);
   EXPECT_TRUE(applyVariant("mutate-inputs", C));
   EXPECT_TRUE(C.MutateInputs);
-  EXPECT_TRUE(applyVariant("portfolio", C));
-  EXPECT_TRUE(C.Portfolio);
   RunConfig Bias;
   EXPECT_TRUE(applyVariant("coverage-bias", Bias));
   EXPECT_TRUE(Bias.BiasCoverage);

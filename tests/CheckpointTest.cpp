@@ -76,9 +76,6 @@ TEST(CheckpointTest, FingerprintIgnoresPoolWidthOnly) {
   C = smallSpec();
   C.Base.BudgetSeconds = 9;
   EXPECT_NE(Base, specFingerprint(C));
-  C = smallSpec();
-  C.Base.Portfolio = true;
-  EXPECT_NE(Base, specFingerprint(C));
 }
 
 TEST(CheckpointTest, ResultJsonRoundTripsByteIdentically) {

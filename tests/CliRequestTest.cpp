@@ -73,13 +73,12 @@ TEST(CliRequestTest, VerbNamesRoundTrip) {
 
 TEST(CliRequestTest, RunArgvParses) {
   RequestSpec Spec = parseOk(
-      Verb::Run, {"slab", "--budget", "25", "--seed", "7", "--portfolio",
-                  "--trace-out", "t.json", "--json"});
+      Verb::Run, {"slab", "--budget", "25", "--seed", "7", "--trace-out",
+                  "t.json", "--json"});
   EXPECT_EQ(Verb::Run, Spec.V);
   EXPECT_EQ("slab", Spec.Run.Crate);
   EXPECT_EQ(25.0, Spec.Run.Config.BudgetSeconds);
   EXPECT_EQ(7u, Spec.Run.Config.Seed);
-  EXPECT_TRUE(Spec.Run.Config.Portfolio);
   EXPECT_EQ("t.json", Spec.Out.TraceOut);
   EXPECT_TRUE(Spec.Out.Json);
 }
@@ -88,7 +87,7 @@ TEST(CliRequestTest, CampaignArgvParses) {
   RequestSpec Spec = parseOk(
       Verb::Campaign,
       {"--crates", "slab,bytes", "--seeds", "3..5", "--variants",
-       "base,portfolio", "--jobs", "4", "--budget", "9", "--out", "d",
+       "base,interleave", "--jobs", "4", "--budget", "9", "--out", "d",
        "--checkpoint", "ck.jsonl"});
   EXPECT_EQ(Verb::Campaign, Spec.V);
   ASSERT_EQ(2u, Spec.Campaign.Spec.Crates.size());
@@ -189,7 +188,8 @@ TEST(CliRequestTest, RetiredEscapeHatchesAreRejected) {
   // error (exit 2) and its wire key an unknown request field - never
   // silently ignored. The usage text no longer advertises them.
   const char *Retired[] = {"--no-compat-cache", "--no-graph-prune",
-                           "--no-api-coverage", "--no-incremental"};
+                           "--no-api-coverage", "--no-incremental",
+                           "--portfolio",       "--strategy"};
   for (const char *Flag : Retired) {
     EXPECT_TRUE(mentions(parseErrors(Verb::Run, {"slab", Flag}),
                          std::string("unknown flag '") + Flag + "'"))
@@ -225,11 +225,11 @@ TEST(CliRequestTest, ArgvAndJsonSurfacesAgree) {
   };
   const Case Cases[] = {
       {Verb::Run,
-       {"slab", "--budget", "25", "--seed", "7", "--portfolio",
-        "--stop-on-bug", "--max-tests", "50", "--json"}},
+       {"slab", "--budget", "25", "--seed", "7", "--stop-on-bug",
+        "--max-tests", "50", "--json"}},
       {Verb::Campaign,
        {"--crates", "slab,bytes", "--seeds", "3..5", "--variants",
-        "base,portfolio", "--jobs", "4", "--budget", "9", "--out", "d",
+        "base,interleave", "--jobs", "4", "--budget", "9", "--out", "d",
         "--coverage-out", "c.json"}},
       {Verb::Audit,
        {"--crates", "slab", "--seeds", "2..4", "--max-models", "100",
@@ -260,7 +260,6 @@ TEST(CliRequestTest, ArgvAndJsonSurfacesAgree) {
     EXPECT_EQ(Direct.Run.Config.BudgetSeconds,
               ViaWire.Run.Config.BudgetSeconds);
     EXPECT_EQ(Direct.Run.Config.Seed, ViaWire.Run.Config.Seed);
-    EXPECT_EQ(Direct.Run.Config.Portfolio, ViaWire.Run.Config.Portfolio);
     EXPECT_EQ(Direct.Run.Config.StopOnFirstBug,
               ViaWire.Run.Config.StopOnFirstBug);
     EXPECT_EQ(Direct.Campaign.Spec.Crates, ViaWire.Campaign.Spec.Crates);
@@ -330,10 +329,6 @@ TEST(CliRequestTest, FinalizeCrossFieldRules) {
   {
     RequestSpec Spec = parseOk(Verb::Run, {"no_such_crate"});
     EXPECT_TRUE(mentions(finalize(S, Spec), "no_such_crate"));
-  }
-  {
-    RequestSpec Spec = parseOk(Verb::Run, {"slab", "--strategy", "nope"});
-    EXPECT_TRUE(mentions(finalize(S, Spec), "known:"));
   }
 }
 

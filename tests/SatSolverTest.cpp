@@ -5,9 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "sat/ModelEnumerator.h"
-#include "sat/Portfolio.h"
 #include "sat/Solver.h"
-#include "sat/SolverStrategy.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -629,7 +627,7 @@ TEST(BudgetTest, ConflictBudgetStopsSearch) {
   EXPECT_FALSE(S.budgetExhausted());
 }
 
-// Builds the pigeonhole instance used by the budget/strategy tests:
+// Builds the pigeonhole instance used by the budget tests:
 // Pigeons x Holes, unsatisfiable whenever Pigeons > Holes.
 static void buildPigeonhole(Solver &S, int Pigeons, int Holes) {
   std::vector<std::vector<Var>> P(Pigeons, std::vector<Var>(Holes));
@@ -668,18 +666,6 @@ TEST(BudgetTest, GenuineUnsatIsNotFlaggedAsBudget) {
   // The contradiction is found at the root, well within budget.
   EXPECT_EQ(S.solve({mkLit(X, true)}), SolveResult::Unsat);
   EXPECT_FALSE(S.budgetExhausted());
-}
-
-TEST(InterruptTest, InterruptReturnsUnknownAndSolverStaysUsable) {
-  Solver S;
-  buildPigeonhole(S, 9, 8);
-  std::atomic<bool> Stop{true};
-  S.setInterrupt(&Stop);
-  EXPECT_EQ(S.solve(), SolveResult::Unknown);
-  EXPECT_TRUE(S.okay());
-  // Clearing the flag lets the same solver finish the proof.
-  Stop.store(false);
-  EXPECT_EQ(S.solve(), SolveResult::Unsat);
 }
 
 TEST(StatsTest, CountersAdvance) {
@@ -993,175 +979,6 @@ TEST_P(KeptLevelPropertyTest, EnumerationMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KeptLevelPropertyTest,
                          ::testing::Range<uint64_t>(0, 40));
-
-//===----------------------------------------------------------------------===//
-// Strategy table and portfolio racing
-//===----------------------------------------------------------------------===//
-
-TEST(StrategyTest, TableHasBaselineFirstAndStrictLookup) {
-  const std::vector<SolverStrategy> &Set = portfolioStrategies();
-  ASSERT_GE(Set.size(), 2u);
-  // Index 0 must be the exact historical defaults - that is what keeps
-  // portfolio streams byte-identical.
-  EXPECT_STREQ(Set[0].Name, "baseline");
-  EXPECT_EQ(Set[0].Restart, RestartPolicy::Luby);
-  EXPECT_EQ(Set[0].RestartUnit, 100u);
-  EXPECT_EQ(Set[0].SeedXor, 0u);
-  EXPECT_EQ(Set[0].BudgetFactor, 1u);
-  EXPECT_FALSE(Set[0].Cegar);
-  for (const SolverStrategy &S : Set)
-    EXPECT_EQ(findStrategy(S.Name), &S);
-  EXPECT_EQ(findStrategy("bogus"), nullptr);
-  EXPECT_EQ(findStrategy(""), nullptr);
-  EXPECT_NE(knownStrategyNames().find("baseline"), std::string::npos);
-  EXPECT_NE(knownStrategyNames().find("cegar"), std::string::npos);
-}
-
-TEST(StrategyTest, EveryStrategyAgreesWithBaselineOnSatisfiability) {
-  // Restart schedules, phases, and seeds steer the search, never the
-  // answer: each named configuration must agree with the baseline on a
-  // batch of random instances straddling the phase-transition density.
-  Rng R(11);
-  for (int Inst = 0; Inst < 12; ++Inst) {
-    const int NumVars = 14;
-    std::vector<std::vector<Lit>> Clauses;
-    for (int C = 0; C < 60; ++C) {
-      std::vector<Lit> Cl;
-      for (int L = 0; L < 3; ++L)
-        Cl.push_back(mkLit(static_cast<Var>(R.below(NumVars)),
-                           R.chance(0.5)));
-      Clauses.push_back(Cl);
-    }
-    Solver Base;
-    makeVars(Base, NumVars);
-    for (const auto &Cl : Clauses)
-      if (!Base.addClause(Cl))
-        break;
-    SolveResult Expect = Base.solve();
-    for (const SolverStrategy &Strat : portfolioStrategies()) {
-      Portfolio P;
-      P.configure(false, Strat.Name);
-      for (int V = 0; V < NumVars; ++V)
-        P.newVar();
-      for (const auto &Cl : Clauses)
-        if (!P.addClause(Cl))
-          break;
-      EXPECT_EQ(P.solve(), Expect)
-          << "strategy " << Strat.Name << " instance " << Inst;
-    }
-  }
-}
-
-TEST(PortfolioTest, DisabledPathMatchesPlainSolver) {
-  Solver S;
-  Portfolio P;
-  P.configure(false, "");
-  buildPigeonhole(S, 5, 4);
-  {
-    // Same construction through the wrapper.
-    std::vector<std::vector<Var>> Rows(5, std::vector<Var>(4));
-    for (auto &Row : Rows)
-      for (Var &V : Row)
-        V = P.newVar();
-    for (auto &Row : Rows) {
-      std::vector<Lit> AtLeastOne;
-      for (Var V : Row)
-        AtLeastOne.push_back(mkLit(V));
-      ASSERT_TRUE(P.addClause(AtLeastOne));
-    }
-    for (int H = 0; H < 4; ++H) {
-      std::vector<Lit> Column;
-      for (int I = 0; I < 5; ++I)
-        Column.push_back(mkLit(Rows[I][H]));
-      ASSERT_TRUE(P.addAtMost(Column, 1));
-    }
-  }
-  EXPECT_EQ(P.numVars(), S.numVars());
-  EXPECT_EQ(P.solve(), S.solve());
-  EXPECT_EQ(P.stats().Conflicts, S.stats().Conflicts);
-  EXPECT_EQ(P.portfolioStats().Races, 0u);
-}
-
-TEST(PortfolioTest, RaceUpgradesBudgetUnknownToUnsat) {
-  // Complete CNF over three variables: unsatisfiable, provable in a
-  // handful of conflicts. A starved baseline gives up (Unknown); the
-  // racers, running at BudgetFactor x the budget, finish the proof, so
-  // the portfolio answers Unsat - and budgetExhausted() must NOT claim
-  // a budget stop for what is now a real proof.
-  Portfolio P;
-  P.configure(true, "");
-  auto Vars = std::vector<Var>{P.newVar(), P.newVar(), P.newVar()};
-  for (int Mask = 0; Mask < 8; ++Mask) {
-    std::vector<Lit> Cl;
-    for (int I = 0; I < 3; ++I)
-      Cl.push_back(mkLit(Vars[static_cast<size_t>(I)], (Mask >> I) & 1));
-    if (!P.addClause(Cl))
-      break;
-  }
-  P.setConflictBudget(1);
-  EXPECT_EQ(P.solve(), SolveResult::Unsat);
-  EXPECT_FALSE(P.budgetExhausted());
-  EXPECT_EQ(P.portfolioStats().Races, 1u);
-  EXPECT_EQ(P.portfolioStats().UnsatWins, 1u);
-}
-
-TEST(PortfolioTest, UnlimitedBudgetNeverLaunchesRacers) {
-  Portfolio P;
-  P.configure(true, "");
-  std::vector<std::vector<Var>> Rows(7, std::vector<Var>(6));
-  for (auto &Row : Rows)
-    for (Var &V : Row)
-      V = P.newVar();
-  for (auto &Row : Rows) {
-    std::vector<Lit> AtLeastOne;
-    for (Var V : Row)
-      AtLeastOne.push_back(mkLit(V));
-    ASSERT_TRUE(P.addClause(AtLeastOne));
-  }
-  for (int H = 0; H < 6; ++H) {
-    std::vector<Lit> Column;
-    for (int I = 0; I < 7; ++I)
-      Column.push_back(mkLit(Rows[I][H]));
-    ASSERT_TRUE(P.addAtMost(Column, 1));
-  }
-  // Budget 0 = unlimited: member 0 cannot answer Unknown, so helper
-  // proofs could never be consumed and no race may start.
-  EXPECT_EQ(P.solve(), SolveResult::Unsat);
-  EXPECT_EQ(P.portfolioStats().Races, 0u);
-}
-
-TEST(PortfolioTest, CegarPrimaryMaterializesOnlyViolatedClauses) {
-  // Relaxation without the lazy clause is Sat with x=y=true; the model
-  // violates the deferred clause, which gets materialized, and the full
-  // formula then forces x false.
-  Portfolio P;
-  P.configure(false, "cegar");
-  Var X = P.newVar();
-  Var Y = P.newVar();
-  ASSERT_TRUE(P.addClause(mkLit(Y)));
-  P.beginLazy();
-  ASSERT_TRUE(P.addClause(mkLit(X, true)));
-  P.endLazy();
-  EXPECT_EQ(P.solve(), SolveResult::Sat);
-  EXPECT_EQ(P.modelValue(X), Value::False);
-  EXPECT_EQ(P.modelValue(Y), Value::True);
-}
-
-TEST(PortfolioTest, CegarPrimaryFindsUnsatViaMaterialization) {
-  // The lazy clauses contradict the eager units; CEGAR must converge to
-  // Unsat (not report the relaxation's Sat).
-  Portfolio P;
-  P.configure(false, "cegar");
-  Var X = P.newVar();
-  Var Y = P.newVar();
-  ASSERT_TRUE(P.addClause(mkLit(X)));
-  ASSERT_TRUE(P.addClause(mkLit(Y)));
-  P.beginLazy();
-  ASSERT_TRUE(P.addClause(mkLit(X, true), mkLit(Y, true)));
-  P.endLazy();
-  EXPECT_EQ(P.solve(), SolveResult::Unsat);
-  EXPECT_FALSE(P.budgetExhausted());
-}
 
 //===----------------------------------------------------------------------===//
 // Cross-build enumeration golden
