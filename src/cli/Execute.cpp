@@ -460,11 +460,8 @@ Response syrust::cli::execute(const Session &S, const RequestSpec &Spec,
     return executeReport(Spec);
   case Verb::Coverage:
     return executeCoverage(S, Spec);
-  case Verb::Serve:
-    break;
   }
-  return usageError("serve is a process-level loop; it cannot be "
-                    "executed as a request");
+  return usageError("unknown verb");
 }
 
 bool syrust::cli::writeResponseFiles(const Response &R,

@@ -8,10 +8,8 @@
 /// Runs a finalized RequestSpec and renders everything it produces into
 /// one Response: the exit code, the stdout text, and every output file
 /// as (path, content) — no file is written and nothing is printed here.
-/// The offline CLI and the serve daemon execute through this one
-/// function, which is what makes a campaign submitted over the socket
-/// byte-identical to the offline verb: same Session, same runner, same
-/// rendering, and the response carries raw bytes end to end.
+/// The `syrust` CLI is the only caller: it writes the files and prints
+/// the output once execution has finished.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,21 +33,17 @@ struct Response {
   std::string Output;
   /// Diagnostics for stderr; non-empty explains a nonzero ExitCode.
   std::string Error;
-  /// Output files as (path, content) in write order. The *caller* (the
-  /// offline CLI, or the --connect client after the daemon responds)
-  /// writes these, so daemon-side execution never touches request
-  /// output paths.
+  /// Output files as (path, content) in write order. The caller writes
+  /// these (writeResponseFiles), after execution has finished.
   std::vector<std::pair<std::string, std::string>> Files;
 };
 
 /// Progress sink for long verbs (campaign/audit job completions). The
-/// offline CLI prints lines to stderr; the daemon drops them.
+/// CLI prints lines to stderr; a null sink drops them.
 using ProgressFn = std::function<void(const std::string &)>;
 
 /// Executes one finalized request (precondition: finalize() returned no
-/// errors) against the shared warm \p S. List/run/campaign/audit/
-/// coverage/report execute here; serve is a process-level loop and is
-/// rejected with ExitUsage.
+/// errors) against \p S.
 ///
 /// Campaign checkpointing is the one side effect that cannot ride in the
 /// Response: a non-empty CheckpointPath is read (resume) and appended to

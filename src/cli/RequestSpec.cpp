@@ -13,7 +13,6 @@
 
 using namespace syrust;
 using namespace syrust::cli;
-using namespace syrust::json;
 
 namespace {
 
@@ -23,8 +22,7 @@ enum : unsigned {
   VCampaign = 1u << 1,
   VAudit = 1u << 2,
   VCoverage = 1u << 3,
-  VServe = 1u << 4,
-  VReport = 1u << 5,
+  VReport = 1u << 4,
 };
 
 unsigned verbBit(Verb V) {
@@ -37,8 +35,6 @@ unsigned verbBit(Verb V) {
     return VAudit;
   case Verb::Coverage:
     return VCoverage;
-  case Verb::Serve:
-    return VServe;
   case Verb::Report:
     return VReport;
   case Verb::List:
@@ -77,11 +73,9 @@ bool parseSeedRange(const std::string &Text, uint64_t &Begin,
   return EndPtr != Second && *EndPtr == '\0' && Begin <= End;
 }
 
-/// One knob, on both surfaces at once: `Flag` is the CLI spelling, the
-/// protocol key is the same spelling minus the leading `--`, `Verbs`
-/// masks where it applies, `K` fixes the value kind on both surfaces,
-/// and `Set` is the single shared semantic action. Adding a knob means
-/// adding exactly one row; CLI and wire cannot diverge.
+/// One knob: `Flag` is the CLI spelling, `Verbs` masks where it
+/// applies, `K` fixes the value kind, and `Set` is the semantic action.
+/// Adding a knob means adding exactly one row.
 struct OptionDef {
   const char *Flag;
   unsigned Verbs;
@@ -274,15 +268,10 @@ const OptionDef Options[] = {
        return std::string();
      }},
 
-    // Checkpoint/resume and daemon routing.
+    // Checkpoint/resume.
     {"--checkpoint", VCampaign, OptionDef::Str,
      [](RequestSpec &S, const std::string &Text, double) {
        S.Campaign.CheckpointPath = Text;
-       return std::string();
-     }},
-    {"--connect", VRun | VCampaign | VAudit | VCoverage, OptionDef::Str,
-     [](RequestSpec &S, const std::string &Text, double) {
-       S.Connect = Text;
        return std::string();
      }},
 
@@ -290,23 +279,6 @@ const OptionDef Options[] = {
     {"--top", VCoverage, OptionDef::Num,
      [](RequestSpec &S, const std::string &, double Val) {
        S.Coverage.Top = static_cast<int>(Val);
-       return std::string();
-     }},
-
-    // Serve.
-    {"--socket", VServe, OptionDef::Str,
-     [](RequestSpec &S, const std::string &Text, double) {
-       S.Serve.SocketPath = Text;
-       return std::string();
-     }},
-    {"--max-inflight", VServe, OptionDef::Num,
-     [](RequestSpec &S, const std::string &, double Val) {
-       S.Serve.MaxInflight = static_cast<int>(Val);
-       return std::string();
-     }},
-    {"--checkpoint-dir", VServe, OptionDef::Str,
-     [](RequestSpec &S, const std::string &Text, double) {
-       S.Serve.CheckpointDir = Text;
        return std::string();
      }},
 };
@@ -318,15 +290,8 @@ const OptionDef *findOption(const std::string &Flag) {
   return nullptr;
 }
 
-const OptionDef *findOptionByKey(const std::string &Key) {
-  for (const OptionDef &O : Options)
-    if (Key == O.Flag + 2)
-      return &O;
-  return nullptr;
-}
-
 /// The positional a verb takes ("crate" for run, "file" for
-/// coverage/report), also its protocol key; nullptr for none.
+/// coverage/report); nullptr for none.
 const char *positionalKey(Verb V) {
   if (V == Verb::Run)
     return "crate";
@@ -344,15 +309,52 @@ void setPositional(RequestSpec &S, const std::string &Text) {
     S.Report.File = Text;
 }
 
-/// The shared argv scan: positional and flag recognition, strict value
-/// parsing (a missing value or non-number fails loudly instead of
-/// running with a silently wrong configuration), one message per
-/// problem. parseArgv and argvToRequestJson both drive this, so the CLI
-/// surface has exactly one grammar.
-template <typename OnPositional, typename OnOption>
-void scanArgv(Verb V, int Argc, const char *const *Argv,
-              std::vector<std::string> &Errors, OnPositional Positional,
-              OnOption Option) {
+} // namespace
+
+bool syrust::cli::verbFromName(const std::string &Name, Verb &Out) {
+  if (Name == "list")
+    Out = Verb::List;
+  else if (Name == "run")
+    Out = Verb::Run;
+  else if (Name == "campaign")
+    Out = Verb::Campaign;
+  else if (Name == "audit")
+    Out = Verb::Audit;
+  else if (Name == "coverage")
+    Out = Verb::Coverage;
+  else if (Name == "report")
+    Out = Verb::Report;
+  else
+    return false;
+  return true;
+}
+
+const char *syrust::cli::verbName(Verb V) {
+  switch (V) {
+  case Verb::List:
+    return "list";
+  case Verb::Run:
+    return "run";
+  case Verb::Campaign:
+    return "campaign";
+  case Verb::Audit:
+    return "audit";
+  case Verb::Coverage:
+    return "coverage";
+  case Verb::Report:
+    return "report";
+  }
+  return "?";
+}
+
+bool syrust::cli::parseArgv(Verb V, int Argc, const char *const *Argv,
+                            RequestSpec &Out,
+                            std::vector<std::string> &Errors) {
+  // Strict value parsing: a missing value or non-number fails loudly
+  // instead of running with a silently wrong configuration, with one
+  // message per problem.
+  Out = RequestSpec();
+  Out.V = V;
   const unsigned Bit = verbBit(V);
   bool SawPositional = false;
   for (int I = 0; I < Argc; ++I) {
@@ -360,7 +362,7 @@ void scanArgv(Verb V, int Argc, const char *const *Argv,
     if (Arg.size() < 2 || Arg[0] != '-' || Arg[1] != '-') {
       if (positionalKey(V) && !SawPositional) {
         SawPositional = true;
-        Positional(Arg);
+        setPositional(Out, Arg);
       } else {
         Errors.push_back("unexpected argument '" + Arg + "'");
       }
@@ -403,180 +405,13 @@ void scanArgv(Verb V, int Argc, const char *const *Argv,
         }
       }
     }
-    Option(*O, Text, Val);
-  }
-  if (positionalKey(V) && !SawPositional)
-    Errors.push_back(std::string("missing <") + positionalKey(V) +
-                     "> argument");
-}
-
-} // namespace
-
-bool syrust::cli::verbFromName(const std::string &Name, Verb &Out) {
-  if (Name == "list")
-    Out = Verb::List;
-  else if (Name == "run")
-    Out = Verb::Run;
-  else if (Name == "campaign")
-    Out = Verb::Campaign;
-  else if (Name == "audit")
-    Out = Verb::Audit;
-  else if (Name == "coverage")
-    Out = Verb::Coverage;
-  else if (Name == "report")
-    Out = Verb::Report;
-  else if (Name == "serve")
-    Out = Verb::Serve;
-  else
-    return false;
-  return true;
-}
-
-const char *syrust::cli::verbName(Verb V) {
-  switch (V) {
-  case Verb::List:
-    return "list";
-  case Verb::Run:
-    return "run";
-  case Verb::Campaign:
-    return "campaign";
-  case Verb::Audit:
-    return "audit";
-  case Verb::Coverage:
-    return "coverage";
-  case Verb::Report:
-    return "report";
-  case Verb::Serve:
-    return "serve";
-  }
-  return "?";
-}
-
-bool syrust::cli::parseArgv(Verb V, int Argc, const char *const *Argv,
-                            RequestSpec &Out,
-                            std::vector<std::string> &Errors) {
-  Out = RequestSpec();
-  Out.V = V;
-  scanArgv(
-      V, Argc, Argv, Errors,
-      [&](const std::string &Text) { setPositional(Out, Text); },
-      [&](const OptionDef &O, const std::string &Text, double Val) {
-        std::string Err = O.Set(Out, Text, Val);
-        if (!Err.empty())
-          Errors.push_back(Err);
-      });
-  return Errors.empty();
-}
-
-bool syrust::cli::argvToRequestJson(Verb V, int Argc,
-                                    const char *const *Argv,
-                                    json::Value &Out,
-                                    std::vector<std::string> &Errors) {
-  Out = Value::object();
-  Out.set("verb", Value::string(verbName(V)));
-  scanArgv(
-      V, Argc, Argv, Errors,
-      [&](const std::string &Text) {
-        Out.set(positionalKey(V), Value::string(Text));
-      },
-      [&](const OptionDef &O, const std::string &Text, double Val) {
-        // --connect routes the request; it is not part of it.
-        if (!std::strcmp(O.Flag, "--connect"))
-          return;
-        const std::string Key = O.Flag + 2;
-        if (O.K == OptionDef::Num)
-          Out.set(Key, Value::number(Val));
-        else if (O.K == OptionDef::Str)
-          Out.set(Key, Value::string(Text));
-        else
-          Out.set(Key, Value::boolean(true));
-      });
-  return Errors.empty();
-}
-
-bool syrust::cli::fromRequestJson(const json::Value &V, RequestSpec &Out,
-                                  std::vector<std::string> &Errors) {
-  if (V.kind() != Value::Kind::Object) {
-    Errors.push_back("request must be a JSON object");
-    return false;
-  }
-  const std::string VerbStr = V.get("verb").asString();
-  Verb Vb;
-  if (!V.has("verb") || !verbFromName(VerbStr, Vb)) {
-    Errors.push_back("request has no valid 'verb' (got '" + VerbStr +
-                     "')");
-    return false;
-  }
-  // The wire accepts the work verbs only; serve cannot recursively
-  // serve, and list/report are CLI conveniences.
-  if (Vb != Verb::Run && Vb != Verb::Campaign && Vb != Verb::Audit &&
-      Vb != Verb::Coverage) {
-    Errors.push_back("verb '" + VerbStr +
-                     "' cannot be requested over the serve protocol");
-    return false;
-  }
-  Out = RequestSpec();
-  Out.V = Vb;
-  const unsigned Bit = verbBit(Vb);
-  for (const auto &[Key, Member] : V.members()) {
-    if (Key == "verb" || Key == "id")
-      continue; // "id" is the client's correlation tag, echoed back.
-    if (positionalKey(Vb) && Key == positionalKey(Vb)) {
-      if (Member.kind() != Value::Kind::String) {
-        Errors.push_back("field '" + Key + "' must be a string");
-        continue;
-      }
-      setPositional(Out, Member.asString());
-      continue;
-    }
-    const OptionDef *O = findOptionByKey(Key);
-    if (!O) {
-      Errors.push_back("unknown request field '" + Key + "'");
-      continue;
-    }
-    if (!(O->Verbs & Bit)) {
-      Errors.push_back("field '" + Key + "' does not apply to verb '" +
-                       VerbStr + "'");
-      continue;
-    }
-    if (!std::strcmp(O->Flag, "--connect")) {
-      Errors.push_back("field 'connect' is client-side only");
-      continue;
-    }
-    std::string Text;
-    double Val = 0;
-    switch (O->K) {
-    case OptionDef::Num:
-      if (Member.kind() != Value::Kind::Number) {
-        Errors.push_back("field '" + Key + "' must be a number");
-        continue;
-      }
-      Val = Member.asDouble();
-      if (Val < 0) {
-        Errors.push_back("field '" + Key + "' must be non-negative");
-        continue;
-      }
-      break;
-    case OptionDef::Str:
-      if (Member.kind() != Value::Kind::String) {
-        Errors.push_back("field '" + Key + "' must be a string");
-        continue;
-      }
-      Text = Member.asString();
-      break;
-    case OptionDef::Flag_:
-      if (Member.kind() != Value::Kind::Bool) {
-        Errors.push_back("field '" + Key + "' must be a boolean");
-        continue;
-      }
-      if (!Member.asBool())
-        continue; // false = leave the default, same as omitting.
-      break;
-    }
     std::string Err = O->Set(Out, Text, Val);
     if (!Err.empty())
       Errors.push_back(Err);
   }
+  if (positionalKey(V) && !SawPositional)
+    Errors.push_back(std::string("missing <") + positionalKey(V) +
+                     "> argument");
   return Errors.empty();
 }
 
@@ -626,13 +461,6 @@ std::vector<std::string> syrust::cli::finalize(const core::Session &S,
     if (Spec.Report.File.empty())
       Errors.push_back("report needs a <trace.json> argument");
     break;
-  case Verb::Serve:
-    if (Spec.Serve.SocketPath.empty())
-      Errors.push_back("serve requires --socket PATH");
-    if (Spec.Serve.MaxInflight < 1)
-      Errors.push_back("--max-inflight must be at least 1, got " +
-                       std::to_string(Spec.Serve.MaxInflight));
-    break;
   }
   return Errors;
 }
@@ -648,22 +476,17 @@ std::string syrust::cli::usageText() {
          "                  [--trace-out FILE] [--metrics-out FILE] "
          "[--trace-wall]\n"
          "                  [--coverage-out FILE] [--bias-coverage]\n"
-         "                  [--connect SOCKET]\n"
          "       syrust campaign [--crates all|a,b,c] [--seeds N[..M]]\n"
          "                  [--variants v1,v2] [--jobs N] [--budget N]\n"
          "                  [--apis N] [--max-tests N] [--solve-budget N]\n"
          "                  [--out DIR] [--trace] [--coverage-out FILE]\n"
-         "                  [--bias-coverage] [--checkpoint FILE] "
-         "[--connect SOCKET]\n"
+         "                  [--bias-coverage] [--checkpoint FILE]\n"
          "       syrust audit [--crates all|a,b,c] [--seeds N[..M]]\n"
          "                  [--apis N] [--max-lines N] [--max-models N]\n"
          "                  [--jobs N] [--weaken-kills]\n"
          "                  [--out DIR] [--json] [--coverage-out FILE]\n"
-         "                  [--connect SOCKET]\n"
          "       syrust report <trace.json>\n"
-         "       syrust coverage <file> [--top N] [--connect SOCKET]\n"
-         "       syrust serve --socket PATH [--max-inflight N]\n"
-         "                  [--checkpoint-dir DIR]\n"
+         "       syrust coverage <file> [--top N]\n"
          "exit codes: 0 ok; 1 finding (UB found, or unexpected audit\n"
          "disagreement); 2 usage/configuration error; 3 environment "
          "failure\n";

@@ -5,29 +5,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One validated request type behind every way of asking the framework
-/// to do something: the `syrust` CLI verbs and the `syrust serve` wire
-/// protocol both construct a RequestSpec, through the same option table
-/// (one entry per knob: flag spelling, JSON key = the flag minus `--`,
-/// verb mask, value kind, setter). A flag and its protocol field
-/// therefore cannot drift — they are the same table row — and both
-/// surfaces get the same one-specific-message-per-bad-field validation.
+/// One validated request type behind every `syrust` verb. argv is
+/// decoded through one option table (one row per flag: spelling, verb
+/// mask, value kind, setter), and every bad field gets one specific
+/// message.
 ///
 /// The spec is a sum type in the tagged-struct rendition: `V` selects
-/// which payload is active (run/campaign/audit/coverage/report/serve),
-/// and validate() checks exactly the active payload. Output routing
+/// which payload is active (run/campaign/audit/coverage/report), and
+/// validate() checks exactly the active payload. Output routing
 /// (`--out`, `--trace-out`, `--metrics-out`, `--coverage-out`, `--json`)
 /// is one shared Outputs struct instead of the three per-verb copies the
 /// old CLI grew.
 ///
 /// Exit codes are uniform across every verb (and documented in
-/// docs/SERVE.md):
+/// README.md):
 ///   0  success, nothing found
 ///   1  finding: a run/campaign found undefined behavior, or an audit
 ///      found an unexpected encoder/checker disagreement
 ///   2  usage or configuration error (bad flag, bad field, bad spec)
-///   3  environment failure (unreadable input, unwritable output,
-///      socket errors)
+///   3  environment failure (unreadable input, unwritable output)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +32,6 @@
 
 #include "campaign/Campaign.h"
 #include "oracle/AuditRunner.h"
-#include "support/Json.h"
 
 #include <string>
 #include <vector>
@@ -59,10 +54,9 @@ enum class Verb {
   Audit,
   Coverage,
   Report,
-  Serve,
 };
 
-/// Verb by wire/CLI name ("run", "campaign", ...); false for unknown.
+/// Verb by CLI name ("run", "campaign", ...); false for unknown.
 bool verbFromName(const std::string &Name, Verb &Out);
 const char *verbName(Verb V);
 
@@ -120,19 +114,6 @@ struct ReportRequest {
   std::string File;
 };
 
-/// `syrust serve`.
-struct ServeRequest {
-  /// `--socket PATH`: the AF_UNIX listening address (required).
-  std::string SocketPath;
-  /// `--max-inflight N`: per-client cap on queued+running requests;
-  /// excess submissions are rejected with an error response.
-  int MaxInflight = 4;
-  /// `--checkpoint-dir DIR`: campaign requests checkpoint to
-  /// DIR/<fingerprint>.jsonl, so a killed daemon resumes them when the
-  /// same spec is resubmitted.
-  std::string CheckpointDir;
-};
-
 /// The unified request. `V` is the tag; exactly one payload is active.
 struct RequestSpec {
   Verb V = Verb::List;
@@ -142,15 +123,8 @@ struct RequestSpec {
   AuditRequest Audit;
   CoverageRequest Coverage;
   ReportRequest Report;
-  ServeRequest Serve;
 
   Outputs Out;
-
-  /// `--connect SOCKET` (run/campaign/audit/coverage): submit this
-  /// request to a `syrust serve` daemon instead of executing in-process;
-  /// responses (stdout text, output files, exit code) are identical by
-  /// construction because the daemon runs the same execute().
-  std::string Connect;
 };
 
 /// Parses one verb's arguments (\p Argv excludes the program name and
@@ -160,21 +134,6 @@ struct RequestSpec {
 /// crates" expansions) stay unexpanded until finalize().
 bool parseArgv(Verb V, int Argc, const char *const *Argv,
                RequestSpec &Out, std::vector<std::string> &Errors);
-
-/// Decodes a serve-protocol request object through the same option
-/// table as parseArgv: `verb` names the verb, every other member must
-/// be a table key valid for that verb (numbers for Num knobs, strings
-/// for Str knobs, booleans for Flag knobs; `true` applies the flag,
-/// `false` is ignored). Positionals travel as "crate" (run) and "file"
-/// (coverage). One specific message per bad member.
-bool fromRequestJson(const json::Value &V, RequestSpec &Out,
-                     std::vector<std::string> &Errors);
-
-/// Renders parsed argv as the equivalent protocol request object (what
-/// `--connect` submits). Walks the same option table, so the wire form
-/// of every flag matches what fromRequestJson expects by construction.
-bool argvToRequestJson(Verb V, int Argc, const char *const *Argv,
-                       json::Value &Out, std::vector<std::string> &Errors);
 
 /// Expands Session-dependent defaults (empty campaign/audit crate lists
 /// become every synthesis-supporting crate) and validates the active

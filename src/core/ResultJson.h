@@ -45,10 +45,9 @@ bool resultFromJson(const json::Value &V, RunResult &Out,
                     std::string &Err);
 
 /// Canonical full-field serialization of a RunConfig, used to fingerprint
-/// campaign/serve request specs (checkpoint compatibility, request
-/// dedup). Every field participates, so two configs hash equal iff every
-/// knob matches; key order is the writer's sorted-map order, so the
-/// rendering is canonical.
+/// campaign specs (checkpoint compatibility). Every field participates,
+/// so two configs hash equal iff every knob matches; key order is the
+/// writer's sorted-map order, so the rendering is canonical.
 json::Value runConfigToJson(const RunConfig &C);
 
 } // namespace syrust::core

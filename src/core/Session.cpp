@@ -37,18 +37,9 @@ Session::analysisFor(const CrateSpec &Spec) const {
   // and then share the result instead of duplicating the work.
   std::lock_guard<std::mutex> Lock(AnalysesMu);
   std::shared_ptr<const CrateAnalysis> &Slot = Analyses[&Spec];
-  if (!Slot) {
+  if (!Slot)
     Slot = std::make_shared<const CrateAnalysis>(Spec);
-    ++Stats.Builds;
-  } else {
-    ++Stats.Hits;
-  }
   return Slot;
-}
-
-Session::AnalysisStats Session::analysisStats() const {
-  std::lock_guard<std::mutex> Lock(AnalysesMu);
-  return Stats;
 }
 
 RunResult Session::runOne(const CrateSpec &Spec, RunConfig Config,

@@ -79,17 +79,6 @@ public:
   std::shared_ptr<const CrateAnalysis>
   analysisFor(const crates::CrateSpec &Spec) const;
 
-  /// Warm-analysis accounting: how many analysisFor() calls paid the
-  /// one-off instantiation + matrix precompute (Builds) versus reused a
-  /// live one (Hits). The serve daemon's whole value proposition is
-  /// driving Hits/(Hits+Builds) toward 1 across requests; it exports
-  /// these as the serve.warm.* gauges (docs/OBSERVABILITY.md).
-  struct AnalysisStats {
-    uint64_t Builds = 0;
-    uint64_t Hits = 0;
-  };
-  AnalysisStats analysisStats() const;
-
 private:
   const std::vector<crates::CrateSpec> *Crates;
   /// Lazily-built per-crate analyses, keyed by spec identity (the
@@ -100,8 +89,6 @@ private:
   mutable std::map<const crates::CrateSpec *,
                    std::shared_ptr<const CrateAnalysis>>
       Analyses;
-  /// Guarded by AnalysesMu (analysisFor holds it anyway).
-  mutable AnalysisStats Stats;
 };
 
 } // namespace syrust::core

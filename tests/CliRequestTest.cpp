@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // The cli library is the single construction path for every request the
-// framework executes — `syrust` argv and the serve protocol both go
-// through its option table. These tests pin the properties that make
-// that worth having: one specific message per bad field, and argv/JSON
-// agreement by construction (argvToRequestJson output decodes to the
-// same spec parseArgv produced).
+// framework executes: `syrust` argv goes through its option table. These
+// tests pin the properties that make that worth having: one specific
+// message per bad field, flags scoped to their verbs, and retired flags
+// and verbs rejected instead of silently ignored.
 //
 //===----------------------------------------------------------------------===//
 
@@ -51,8 +50,8 @@ bool mentions(const std::vector<std::string> &Errors,
 }
 
 TEST(CliRequestTest, ExitCodesAreTheDocumentedContract) {
-  // docs/SERVE.md and the usage text promise these numbers; scripts
-  // depend on them.
+  // README.md and the usage text promise these numbers; scripts depend
+  // on them.
   EXPECT_EQ(0, ExitOk);
   EXPECT_EQ(1, ExitFinding);
   EXPECT_EQ(2, ExitUsage);
@@ -61,7 +60,7 @@ TEST(CliRequestTest, ExitCodesAreTheDocumentedContract) {
 
 TEST(CliRequestTest, VerbNamesRoundTrip) {
   for (Verb V : {Verb::List, Verb::Run, Verb::Campaign, Verb::Audit,
-                 Verb::Coverage, Verb::Report, Verb::Serve}) {
+                 Verb::Coverage, Verb::Report}) {
     Verb Back;
     ASSERT_TRUE(verbFromName(verbName(V), Back)) << verbName(V);
     EXPECT_EQ(static_cast<int>(V), static_cast<int>(Back));
@@ -69,6 +68,9 @@ TEST(CliRequestTest, VerbNamesRoundTrip) {
   Verb V;
   EXPECT_FALSE(verbFromName("bogus", V));
   EXPECT_FALSE(verbFromName("", V));
+  // Every request executes in the invoking process; there is no daemon
+  // verb.
+  EXPECT_FALSE(verbFromName("serve", V));
 }
 
 TEST(CliRequestTest, RunArgvParses) {
@@ -135,61 +137,17 @@ TEST(CliRequestTest, MissingValuesAndPositionals) {
       mentions(parseErrors(Verb::Run, {"slab", "extra"}), "extra"));
 }
 
-TEST(CliRequestTest, JsonRequestDecodes) {
-  json::ParseResult P = json::parse(
-      "{\"verb\":\"campaign\",\"crates\":\"slab,bytes\","
-      "\"seeds\":\"3..5\",\"jobs\":4,\"budget\":9,\"out\":\"d\"}");
-  ASSERT_TRUE(P.Ok);
-  RequestSpec Spec;
-  std::vector<std::string> Errors;
-  ASSERT_TRUE(fromRequestJson(P.Val, Spec, Errors))
-      << (Errors.empty() ? "" : Errors.front());
-  EXPECT_EQ(Verb::Campaign, Spec.V);
-  ASSERT_EQ(2u, Spec.Campaign.Spec.Crates.size());
-  EXPECT_EQ(3u, Spec.Campaign.Spec.SeedBegin);
-  EXPECT_EQ(5u, Spec.Campaign.Spec.SeedEnd);
-  EXPECT_EQ(4, Spec.Campaign.Spec.Jobs);
-  EXPECT_EQ("d", Spec.Out.OutDir);
-}
-
-TEST(CliRequestTest, JsonRequestRejectsBadMembers) {
-  // Unknown member, wrong type, and wire-invalid verbs each get one
-  // specific message.
-  auto decodeErrors = [](const std::string &Text) {
-    json::ParseResult P = json::parse(Text);
-    EXPECT_TRUE(P.Ok);
-    RequestSpec Spec;
-    std::vector<std::string> Errors;
-    EXPECT_FALSE(fromRequestJson(P.Val, Spec, Errors));
-    return Errors;
-  };
-  EXPECT_TRUE(mentions(
-      decodeErrors("{\"verb\":\"run\",\"crate\":\"slab\",\"bogus\":1}"),
-      "bogus"));
-  EXPECT_TRUE(mentions(
-      decodeErrors(
-          "{\"verb\":\"run\",\"crate\":\"slab\",\"budget\":\"ten\"}"),
-      "budget"));
-  EXPECT_TRUE(
-      mentions(decodeErrors("{\"verb\":\"serve\",\"socket\":\"s\"}"),
-               "verb"));
-  EXPECT_TRUE(mentions(decodeErrors("{\"crates\":\"slab\"}"), "verb"));
-  // --connect is how a request reaches a daemon, not something a daemon
-  // forwards to itself.
-  EXPECT_TRUE(mentions(
-      decodeErrors(
-          "{\"verb\":\"run\",\"crate\":\"slab\",\"connect\":\"s\"}"),
-      "connect"));
-}
-
 TEST(CliRequestTest, RetiredEscapeHatchesAreRejected) {
-  // The probe-stack escape hatches are gone from the option table: on
-  // every verb that once took them, the flag is an unknown-flag usage
-  // error (exit 2) and its wire key an unknown request field - never
-  // silently ignored. The usage text no longer advertises them.
+  // Retired flags are gone from the option table: the probe-stack
+  // escape hatches, the solver portfolio, and the daemon's routing and
+  // listening options. On every verb the flag is an unknown-flag usage
+  // error (exit 2), never silently ignored, and the usage text no longer
+  // advertises it.
   const char *Retired[] = {"--no-compat-cache", "--no-graph-prune",
                            "--no-api-coverage", "--no-incremental",
-                           "--portfolio",       "--strategy"};
+                           "--portfolio",       "--strategy",
+                           "--connect",         "--socket",
+                           "--max-inflight",    "--checkpoint-dir"};
   for (const char *Flag : Retired) {
     EXPECT_TRUE(mentions(parseErrors(Verb::Run, {"slab", Flag}),
                          std::string("unknown flag '") + Flag + "'"))
@@ -201,104 +159,7 @@ TEST(CliRequestTest, RetiredEscapeHatchesAreRejected) {
                          std::string("unknown flag '") + Flag + "'"))
         << Flag;
     EXPECT_EQ(std::string::npos, usageText().find(Flag)) << Flag;
-
-    const std::string Key = Flag + 2;
-    for (const char *VerbName : {"run", "campaign", "audit"}) {
-      json::ParseResult P = json::parse(std::string("{\"verb\":\"") +
-                                        VerbName + "\",\"" + Key + "\":true}");
-      ASSERT_TRUE(P.Ok);
-      RequestSpec Spec;
-      std::vector<std::string> Errors;
-      EXPECT_FALSE(fromRequestJson(P.Val, Spec, Errors)) << Key;
-      EXPECT_TRUE(mentions(Errors, "unknown request field '" + Key + "'"))
-          << VerbName << " " << Key;
-    }
   }
-}
-
-TEST(CliRequestTest, ArgvAndJsonSurfacesAgree) {
-  // The no-drift property: render argv as a protocol request, decode
-  // it, and the spec must match what parseArgv produced directly.
-  struct Case {
-    Verb V;
-    std::vector<const char *> Argv;
-  };
-  const Case Cases[] = {
-      {Verb::Run,
-       {"slab", "--budget", "25", "--seed", "7", "--stop-on-bug",
-        "--max-tests", "50", "--json"}},
-      {Verb::Campaign,
-       {"--crates", "slab,bytes", "--seeds", "3..5", "--variants",
-        "base,interleave", "--jobs", "4", "--budget", "9", "--out", "d",
-        "--coverage-out", "c.json"}},
-      {Verb::Audit,
-       {"--crates", "slab", "--seeds", "2..4", "--max-models", "100",
-        "--weaken-kills", "--out", "a"}},
-      {Verb::Coverage, {"c.json", "--top", "3"}},
-  };
-  for (const Case &C : Cases) {
-    RequestSpec Direct;
-    std::vector<std::string> Errors;
-    ASSERT_TRUE(parseArgv(C.V, static_cast<int>(C.Argv.size()),
-                          C.Argv.data(), Direct, Errors));
-
-    json::Value Wire;
-    ASSERT_TRUE(argvToRequestJson(C.V, static_cast<int>(C.Argv.size()),
-                                  C.Argv.data(), Wire, Errors));
-    // The wire form must decode cleanly after a JSON round trip, as it
-    // would over the socket.
-    json::ParseResult P = json::parse(Wire.dump());
-    ASSERT_TRUE(P.Ok);
-    RequestSpec ViaWire;
-    ASSERT_TRUE(fromRequestJson(P.Val, ViaWire, Errors))
-        << (Errors.empty() ? "" : Errors.front());
-
-    EXPECT_EQ(static_cast<int>(Direct.V), static_cast<int>(ViaWire.V));
-    // Re-render both through the wire encoder? ViaWire came from JSON,
-    // not argv — compare the load-bearing fields directly.
-    EXPECT_EQ(Direct.Run.Crate, ViaWire.Run.Crate);
-    EXPECT_EQ(Direct.Run.Config.BudgetSeconds,
-              ViaWire.Run.Config.BudgetSeconds);
-    EXPECT_EQ(Direct.Run.Config.Seed, ViaWire.Run.Config.Seed);
-    EXPECT_EQ(Direct.Run.Config.StopOnFirstBug,
-              ViaWire.Run.Config.StopOnFirstBug);
-    EXPECT_EQ(Direct.Campaign.Spec.Crates, ViaWire.Campaign.Spec.Crates);
-    EXPECT_EQ(Direct.Campaign.Spec.SeedBegin,
-              ViaWire.Campaign.Spec.SeedBegin);
-    EXPECT_EQ(Direct.Campaign.Spec.SeedEnd, ViaWire.Campaign.Spec.SeedEnd);
-    EXPECT_EQ(Direct.Campaign.Spec.Variants,
-              ViaWire.Campaign.Spec.Variants);
-    EXPECT_EQ(Direct.Campaign.Spec.Jobs, ViaWire.Campaign.Spec.Jobs);
-    EXPECT_EQ(Direct.Campaign.Spec.Base.BudgetSeconds,
-              ViaWire.Campaign.Spec.Base.BudgetSeconds);
-    EXPECT_EQ(Direct.Audit.Spec.Crates, ViaWire.Audit.Spec.Crates);
-    EXPECT_EQ(Direct.Audit.Spec.Base.MaxModels,
-              ViaWire.Audit.Spec.Base.MaxModels);
-    EXPECT_EQ(Direct.Audit.Spec.Base.WeakenConsumptionKills,
-              ViaWire.Audit.Spec.Base.WeakenConsumptionKills);
-    EXPECT_EQ(Direct.Coverage.File, ViaWire.Coverage.File);
-    EXPECT_EQ(Direct.Coverage.Top, ViaWire.Coverage.Top);
-    EXPECT_EQ(Direct.Out.OutDir, ViaWire.Out.OutDir);
-    EXPECT_EQ(Direct.Out.CoverageOut, ViaWire.Out.CoverageOut);
-    EXPECT_EQ(Direct.Out.Json, ViaWire.Out.Json);
-  }
-}
-
-TEST(CliRequestTest, ConnectIsClientSideOnly) {
-  // --connect parses (the CLI routes on it) but never reaches the wire
-  // form argvToRequestJson produces.
-  std::vector<const char *> Argv = {"slab", "--budget", "5", "--connect",
-                                    "/tmp/sock"};
-  RequestSpec Spec = parseOk(Verb::Run, Argv);
-  EXPECT_EQ("/tmp/sock", Spec.Connect);
-
-  json::Value Wire;
-  std::vector<std::string> Errors;
-  ASSERT_TRUE(argvToRequestJson(Verb::Run,
-                                static_cast<int>(Argv.size()),
-                                Argv.data(), Wire, Errors));
-  EXPECT_FALSE(Wire.has("connect"));
-  EXPECT_EQ("run", Wire.get("verb").asString());
 }
 
 TEST(CliRequestTest, FinalizeCrossFieldRules) {
@@ -321,10 +182,6 @@ TEST(CliRequestTest, FinalizeCrossFieldRules) {
         Verb::Campaign,
         {"--checkpoint", "ck.jsonl", "--trace", "--out", "d"});
     EXPECT_TRUE(mentions(finalize(S, Spec), "--checkpoint"));
-  }
-  {
-    RequestSpec Spec = parseOk(Verb::Serve, {});
-    EXPECT_TRUE(mentions(finalize(S, Spec), "--socket"));
   }
   {
     RequestSpec Spec = parseOk(Verb::Run, {"no_such_crate"});

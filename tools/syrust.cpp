@@ -6,9 +6,9 @@
 ///
 /// The command-line face of the framework — deliberately thin. Every
 /// verb's grammar, validation, and execution live in the cli library
-/// (cli/RequestSpec.h, cli/Execute.h), which the `syrust serve` wire
-/// protocol shares; this file only maps process conventions onto that
-/// API: argv in, stdout/stderr/files/exit-code out.
+/// (cli/RequestSpec.h, cli/Execute.h); this file only maps process
+/// conventions onto that API: argv in, stdout/stderr/files/exit-code
+/// out.
 ///
 ///   syrust list                        library inventory (Figure 12)
 ///   syrust run <crate> [options]       one full pipeline run
@@ -18,15 +18,8 @@
 ///   syrust audit [options]             encoder/checker agreement oracle
 ///   syrust report <trace.json>         per-stage trace breakdown
 ///   syrust coverage <file> [--top N]   API-pair coverage rendering
-///   syrust serve --socket PATH         long-running daemon serving the
-///                                      above over a local socket
 ///
-/// run/campaign/audit/coverage accept `--connect SOCKET` to submit the
-/// request to a daemon instead of executing in-process; the response
-/// (stdout bytes, output files, exit code) is identical by construction
-/// because the daemon runs the same cli::execute over a warm Session.
-///
-/// Exit codes, uniform across all verbs (docs/SERVE.md):
+/// Exit codes, uniform across all verbs (README.md):
 ///   0 ok · 1 finding (UB / unexpected audit disagreement) ·
 ///   2 usage or configuration error · 3 environment failure
 ///
@@ -38,12 +31,8 @@
 #include "cli/Execute.h"
 #include "cli/RequestSpec.h"
 #include "core/Session.h"
-#include "serve/Client.h"
-#include "serve/Server.h"
 
-#include <csignal>
 #include <cstdio>
-#include <cstring>
 
 using namespace syrust;
 
@@ -52,79 +41,6 @@ namespace {
 int usage() {
   std::fprintf(stderr, "%s", cli::usageText().c_str());
   return cli::ExitUsage;
-}
-
-/// The active daemon, for signal-driven shutdown. requestStop() is
-/// async-signal-safe (one pipe write).
-serve::Server *ActiveServer = nullptr;
-
-void onSignal(int) {
-  if (ActiveServer)
-    ActiveServer->requestStop();
-}
-
-/// Routes a parsed request to a daemon and replays its response locally:
-/// same stdout bytes, same files (written client-side), same exit code.
-int runConnected(cli::Verb V, int Argc, const char *const *Argv,
-                 const std::string &Socket) {
-  json::Value Request;
-  std::vector<std::string> Errors;
-  if (!cli::argvToRequestJson(V, Argc, Argv, Request, Errors)) {
-    for (const std::string &E : Errors)
-      std::fprintf(stderr, "syrust %s: %s\n", cli::verbName(V),
-                   E.c_str());
-    return usage();
-  }
-
-  serve::Client Client;
-  std::string Err;
-  if (!Client.connect(Socket, Err)) {
-    std::fprintf(stderr, "syrust %s: %s\n", cli::verbName(V),
-                 Err.c_str());
-    return cli::ExitRuntime;
-  }
-  json::Value Doc;
-  if (!Client.call(Request, Doc, Err)) {
-    std::fprintf(stderr, "syrust %s: %s\n", cli::verbName(V),
-                 Err.c_str());
-    return cli::ExitRuntime;
-  }
-  cli::Response Resp;
-  if (!serve::responseFromJson(Doc, Resp, Err)) {
-    // The daemon refused the request (validation failure) or the
-    // response was unusable; its message already names the bad field.
-    std::fprintf(stderr, "syrust %s: %s\n", cli::verbName(V),
-                 Err.c_str());
-    return cli::ExitUsage;
-  }
-  if (!cli::writeResponseFiles(Resp, Err)) {
-    std::fprintf(stderr, "syrust %s: %s\n", cli::verbName(V),
-                 Err.c_str());
-    return cli::ExitRuntime;
-  }
-  if (!Resp.Error.empty())
-    std::fprintf(stderr, "syrust %s: %s\n", cli::verbName(V),
-                 Resp.Error.c_str());
-  std::fwrite(Resp.Output.data(), 1, Resp.Output.size(), stdout);
-  return Resp.ExitCode;
-}
-
-int runServe(const cli::RequestSpec &Spec, const core::Session &S) {
-  serve::Server Server(S, Spec.Serve);
-  std::string Err;
-  if (!Server.start(Err)) {
-    std::fprintf(stderr, "syrust serve: %s\n", Err.c_str());
-    return cli::ExitRuntime;
-  }
-  ActiveServer = &Server;
-  std::signal(SIGINT, onSignal);
-  std::signal(SIGTERM, onSignal);
-  std::signal(SIGPIPE, SIG_IGN);
-  std::fprintf(stderr, "syrust serve: listening on %s\n",
-               Server.socketPath().c_str());
-  int Exit = Server.run();
-  ActiveServer = nullptr;
-  return Exit;
 }
 
 } // namespace
@@ -147,9 +63,6 @@ int main(int Argc, char **Argv) {
     return usage();
   }
 
-  if (!Spec.Connect.empty())
-    return runConnected(V, Argc - 2, Argv + 2, Spec.Connect);
-
   core::Session S;
   Errors = cli::finalize(S, Spec);
   if (!Errors.empty()) {
@@ -158,9 +71,6 @@ int main(int Argc, char **Argv) {
                    E.c_str());
     return cli::ExitUsage;
   }
-
-  if (V == cli::Verb::Serve)
-    return runServe(Spec, S);
 
   // Progress to stderr: stdout carries only the deterministic output.
   cli::Response Resp =
