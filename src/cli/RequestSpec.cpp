@@ -357,9 +357,12 @@ bool syrust::cli::parseArgv(Verb V, int Argc, const char *const *Argv,
   Out.V = V;
   const unsigned Bit = verbBit(V);
   bool SawPositional = false;
+  auto IsFlag = [](const std::string &A) {
+    return A.size() >= 2 && A[0] == '-' && A[1] == '-';
+  };
   for (int I = 0; I < Argc; ++I) {
     const std::string Arg = Argv[I];
-    if (Arg.size() < 2 || Arg[0] != '-' || Arg[1] != '-') {
+    if (!IsFlag(Arg)) {
       if (positionalKey(V) && !SawPositional) {
         SawPositional = true;
         setPositional(Out, Arg);
@@ -371,6 +374,12 @@ bool syrust::cli::parseArgv(Verb V, int Argc, const char *const *Argv,
     const OptionDef *O = findOption(Arg);
     if (!O) {
       Errors.push_back("unknown flag '" + Arg + "'");
+      // Swallow a following word that no positional slot would take:
+      // it is most likely the unknown flag's value, and rejecting it too
+      // would turn one mistake into two messages.
+      if (I + 1 < Argc && !IsFlag(Argv[I + 1]) &&
+          (!positionalKey(V) || SawPositional))
+        ++I;
       continue;
     }
     if (!(O->Verbs & Bit)) {

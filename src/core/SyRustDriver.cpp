@@ -329,7 +329,7 @@ RunResult SyRustDriver::run() {
     uint64_t CandId = Result.Synthesized;
     std::optional<Program> P = Synth.next();
     Clock.charge(Config.SolveCost);
-    if (Obs)
+    if (Obs && Obs->tracing())
       Obs->complete("stage.synthesize", "driver", CandStart,
                     Config.SolveCost,
                     obs::ArgList()
@@ -365,7 +365,7 @@ RunResult SyRustDriver::run() {
     double CompileStart = Clock.now();
     CompileResult Compiled = Check.check(*P, Inst->Db);
     Clock.charge(Config.CompileCost);
-    if (Obs)
+    if (Obs && Obs->tracing())
       Obs->complete("stage.compile", "driver", CompileStart,
                     Config.CompileCost,
                     obs::ArgList()
@@ -419,11 +419,12 @@ RunResult SyRustDriver::run() {
       Clock.charge(Config.ExecCost * Inst->MiriCostFactor);
       ++Result.Executed;
       if (Obs) {
-        Obs->complete("stage.execute", "driver", ExecStart,
-                      Config.ExecCost * Inst->MiriCostFactor,
-                      obs::ArgList()
-                          .add("candidate", CandId)
-                          .add("ub", Exec.UbFound));
+        if (Obs->tracing())
+          Obs->complete("stage.execute", "driver", ExecStart,
+                        Config.ExecCost * Inst->MiriCostFactor,
+                        obs::ArgList()
+                            .add("candidate", CandId)
+                            .add("ub", Exec.UbFound));
         Obs->count("driver.executed");
       }
       CandVerdict = Exec.UbFound ? "ub" : "passed";
@@ -452,7 +453,7 @@ RunResult SyRustDriver::run() {
     }
     if (DbChanged)
       Synth.notifyDatabaseChanged();
-    if (Obs)
+    if (Obs && Obs->tracing())
       Obs->complete("candidate", "driver", CandStart,
                     Clock.now() - CandStart,
                     obs::ArgList()

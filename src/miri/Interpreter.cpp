@@ -168,13 +168,15 @@ ExecResult Interpreter::run(const Program &P) {
   R.UbFound = Heap.hasUb();
   R.Report = Heap.ub();
   if (Obs) {
-    obs::ArgList Args;
-    Args.add("ub", R.UbFound);
-    if (R.UbFound) {
-      Args.add("kind", ubKindName(R.Report.Kind));
-      Args.add("line", R.Report.Line);
+    if (Obs->tracing()) {
+      obs::ArgList Args;
+      Args.add("ub", R.UbFound);
+      if (R.UbFound) {
+        Args.add("kind", ubKindName(R.Report.Kind));
+        Args.add("line", R.Report.Line);
+      }
+      Obs->instant("exec.verdict", "miri", std::move(Args));
     }
-    Obs->instant("exec.verdict", "miri", std::move(Args));
     Obs->count("exec.runs");
     if (R.UbFound)
       Obs->count("exec.ub");

@@ -183,27 +183,32 @@ void Histogram::observe(double X) {
 // MetricsRegistry
 //===----------------------------------------------------------------------===//
 
-Counter &MetricsRegistry::counter(const std::string &Name) {
-  auto &Slot = Counters[Name];
-  if (!Slot)
-    Slot = std::make_unique<Counter>();
-  return *Slot;
+namespace {
+
+/// The slot named \p Name, created (and its name copied) on first use.
+template <typename T, typename... CtorArgs>
+T &lookup(MetricsRegistry::ByName<T> &Map, std::string_view Name,
+          CtorArgs... Args) {
+  auto It = Map.find(Name);
+  if (It == Map.end())
+    It = Map.emplace(std::string(Name), std::make_unique<T>(Args...)).first;
+  return *It->second;
 }
 
-Gauge &MetricsRegistry::gauge(const std::string &Name) {
-  auto &Slot = Gauges[Name];
-  if (!Slot)
-    Slot = std::make_unique<Gauge>();
-  return *Slot;
+} // namespace
+
+Counter &MetricsRegistry::counter(std::string_view Name) {
+  return lookup(Counters, Name);
 }
 
-Histogram &MetricsRegistry::histogram(const std::string &Name,
+Gauge &MetricsRegistry::gauge(std::string_view Name) {
+  return lookup(Gauges, Name);
+}
+
+Histogram &MetricsRegistry::histogram(std::string_view Name,
                                       double FirstEdge, double Factor,
                                       size_t NumEdges) {
-  auto &Slot = Histograms[Name];
-  if (!Slot)
-    Slot = std::make_unique<Histogram>(FirstEdge, Factor, NumEdges);
-  return *Slot;
+  return lookup(Histograms, Name, FirstEdge, Factor, NumEdges);
 }
 
 json::Value MetricsRegistry::snapshotValue(double AtSeconds) const {

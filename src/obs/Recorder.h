@@ -17,8 +17,12 @@
 /// second timestamp (`wall_us` arg on every event) for profiling; it is
 /// off by default precisely because it breaks that determinism.
 ///
-/// Zero cost when disabled: pipeline components hold a `Recorder *` that
-/// is null by default, so the uninstrumented path pays one pointer check.
+/// Cost by configuration: pipeline components hold a `Recorder *` that is
+/// null by default, so a null recorder costs one pointer check. A
+/// metrics-only recorder, which every campaign worker uses, costs counter
+/// increments (name lookups allocate nothing once a metric exists) and
+/// builds no events: the per-candidate and per-rebuild call sites build
+/// event arguments only when tracing() is true.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,9 +34,11 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -170,15 +176,19 @@ private:
   double Sum = 0;
 };
 
-/// Named metrics with periodic snapshots. Lookup creates on first use;
-/// references stay valid for the registry's lifetime, so hot paths can
-/// cache them. Names are emitted in sorted order (deterministic output).
+/// Named metrics with periodic snapshots. Lookup creates on first use
+/// and allocates nothing for a name already registered; references stay
+/// valid for the registry's lifetime, so hot paths can cache them. Names
+/// are emitted in sorted order (deterministic output).
 class MetricsRegistry {
 public:
-  Counter &counter(const std::string &Name);
-  Gauge &gauge(const std::string &Name);
+  template <typename T>
+  using ByName = std::map<std::string, std::unique_ptr<T>, std::less<>>;
+
+  Counter &counter(std::string_view Name);
+  Gauge &gauge(std::string_view Name);
   /// Creation parameters apply on first use only.
-  Histogram &histogram(const std::string &Name, double FirstEdge = 1.0,
+  Histogram &histogram(std::string_view Name, double FirstEdge = 1.0,
                        double Factor = 2.0, size_t NumEdges = 24);
 
   /// Appends one snapshot line capturing every metric at simulated time
@@ -194,14 +204,12 @@ public:
 
   /// Every counter by name (sorted). Campaign merging sums these across
   /// workers into the aggregate's per-stage totals.
-  const std::map<std::string, std::unique_ptr<Counter>> &counters() const {
-    return Counters;
-  }
+  const ByName<Counter> &counters() const { return Counters; }
 
 private:
-  std::map<std::string, std::unique_ptr<Counter>> Counters;
-  std::map<std::string, std::unique_ptr<Gauge>> Gauges;
-  std::map<std::string, std::unique_ptr<Histogram>> Histograms;
+  ByName<Counter> Counters;
+  ByName<Gauge> Gauges;
+  ByName<Histogram> Histograms;
   std::vector<std::string> Lines;
 };
 
@@ -253,15 +261,15 @@ public:
   }
   double now() const { return Trace.now(); }
 
-  void count(const std::string &Name, uint64_t N = 1) {
+  void count(std::string_view Name, uint64_t N = 1) {
     if (MetricsOn)
       Metrics.counter(Name).inc(N);
   }
-  void gaugeSet(const std::string &Name, double V) {
+  void gaugeSet(std::string_view Name, double V) {
     if (MetricsOn)
       Metrics.gauge(Name).set(V);
   }
-  void observe(const std::string &Name, double V) {
+  void observe(std::string_view Name, double V) {
     if (MetricsOn)
       Metrics.histogram(Name).observe(V);
   }

@@ -100,14 +100,16 @@ void RefinementEngine::note(const char *Action,
                             const Diagnostic *Diag) {
   if (!Obs)
     return;
-  obs::ArgList Args;
-  Args.add("action", Action);
-  if (Diag) {
-    Args.add("detail", detailName(Diag->Detail));
-    Args.add("api", static_cast<int64_t>(Diag->Api));
-    Args.add("line", Diag->Line);
+  if (Obs->tracing()) {
+    obs::ArgList Args;
+    Args.add("action", Action);
+    if (Diag) {
+      Args.add("detail", detailName(Diag->Detail));
+      Args.add("api", static_cast<int64_t>(Diag->Api));
+      Args.add("line", Diag->Line);
+    }
+    Obs->instant("refine.action", "refine", std::move(Args));
   }
-  Obs->instant("refine.action", "refine", std::move(Args));
   Obs->count(std::string("refine.") + Action);
 }
 

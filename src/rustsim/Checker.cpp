@@ -122,14 +122,16 @@ CompileResult Checker::check(const Program &P,
                              const ApiDatabase &Db) const {
   CompileResult R = checkImpl(P, Db);
   if (Obs) {
-    obs::ArgList Args;
-    Args.add("ok", R.Success);
-    if (!R.Success) {
-      Args.add("category", categoryName(R.Diag.Category));
-      Args.add("detail", detailName(R.Diag.Detail));
-      Args.add("line", R.Diag.Line);
+    if (Obs->tracing()) {
+      obs::ArgList Args;
+      Args.add("ok", R.Success);
+      if (!R.Success) {
+        Args.add("category", categoryName(R.Diag.Category));
+        Args.add("detail", detailName(R.Diag.Detail));
+        Args.add("line", R.Diag.Line);
+      }
+      Obs->instant("compile.verdict", "rustsim", std::move(Args));
     }
-    Obs->instant("compile.verdict", "rustsim", std::move(Args));
     Obs->count("compile.checks");
     if (!R.Success) {
       Obs->count("compile.rejected");

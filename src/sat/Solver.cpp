@@ -610,6 +610,16 @@ Lit Solver::pickBranchLit() {
     if (value(Candidate) == Value::Undef)
       Next = Candidate;
   }
+  // A complete assignment leaves only assigned entries in the heap, so
+  // the pop loop below could only drain it. Clear it in one pass; the
+  // heap ends empty either way and every entry counts as popped.
+  if (Trail.size() == Assigns.size()) {
+    for (const HeapEntry &E : Heap)
+      HeapPos[E.V] = -1;
+    Stats.HeapPops += Heap.size();
+    Heap.clear();
+    return LitUndef;
+  }
   while (Next == VarUndef || value(Next) != Value::Undef) {
     if (heapEmpty())
       return LitUndef;
@@ -829,25 +839,37 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumps) {
     uint64_t Restarts = Stats.Restarts - Restarts0;
     uint64_t Kept = Stats.KeptAssignments - Kept0;
     uint64_t HeapPops = Stats.HeapPops - HeapPops0;
-    Obs->instant("sat.solve", "sat",
-                 obs::ArgList()
-                     .add("result", Result == SolveResult::Sat ? "sat"
-                          : Result == SolveResult::Unsat ? "unsat"
-                                                         : "unknown")
-                     .add("conflicts", Conflicts)
-                     .add("propagations", Propagations)
-                     .add("restarts", Restarts)
-                     .add("kept", Kept)
-                     .add("heap_pops", HeapPops)
-                     .add("budget_hit", BudgetHit));
-    Obs->count("sat.solve_calls");
-    Obs->count("sat.conflicts", Conflicts);
-    Obs->count("sat.propagations", Propagations);
-    Obs->count("sat.restarts", Restarts);
-    Obs->count("sat.kept_assignments", Kept);
-    Obs->count("sat.heap_pops", HeapPops);
-    Obs->observe("sat.conflicts_per_solve",
-                 static_cast<double>(Conflicts));
+    if (Obs->tracing())
+      Obs->instant("sat.solve", "sat",
+                   obs::ArgList()
+                       .add("result", Result == SolveResult::Sat ? "sat"
+                            : Result == SolveResult::Unsat ? "unsat"
+                                                           : "unknown")
+                       .add("conflicts", Conflicts)
+                       .add("propagations", Propagations)
+                       .add("restarts", Restarts)
+                       .add("kept", Kept)
+                       .add("heap_pops", HeapPops)
+                       .add("budget_hit", BudgetHit));
+    if (Obs->metricsOn()) {
+      if (!Meters.SolveCalls) {
+        obs::MetricsRegistry &M = Obs->metrics();
+        Meters = {&M.counter("sat.solve_calls"),
+                  &M.counter("sat.conflicts"),
+                  &M.counter("sat.propagations"),
+                  &M.counter("sat.restarts"),
+                  &M.counter("sat.kept_assignments"),
+                  &M.counter("sat.heap_pops"),
+                  &M.histogram("sat.conflicts_per_solve")};
+      }
+      Meters.SolveCalls->inc();
+      Meters.Conflicts->inc(Conflicts);
+      Meters.Propagations->inc(Propagations);
+      Meters.Restarts->inc(Restarts);
+      Meters.KeptAssignments->inc(Kept);
+      Meters.HeapPops->inc(HeapPops);
+      Meters.ConflictsPerSolve->observe(static_cast<double>(Conflicts));
+    }
   }
   return Result;
 }

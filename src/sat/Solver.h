@@ -39,6 +39,8 @@
 #include <vector>
 
 namespace syrust::obs {
+class Counter;
+class Histogram;
 class Recorder;
 } // namespace syrust::obs
 
@@ -56,7 +58,8 @@ struct SolverStats {
   /// Trail entries above the root that solves resumed from instead of
   /// re-deriving (assumption levels kept from the previous Sat answer).
   uint64_t KeptAssignments = 0;
-  /// Variables popped off the VSIDS order heap, assigned ones included.
+  /// Variables taken off the VSIDS order heap, assigned ones included:
+  /// by a pop, or by the one-pass clear at a complete assignment.
   uint64_t HeapPops = 0;
 };
 
@@ -144,7 +147,10 @@ public:
   /// Attaches the flight recorder; every solve() then emits a `sat.solve`
   /// trace event with its conflict/propagation/restart deltas and bumps
   /// the `sat.*` counters. Null (the default) disables instrumentation.
-  void setRecorder(obs::Recorder *R) { Obs = R; }
+  void setRecorder(obs::Recorder *R) {
+    Obs = R;
+    Meters = {};
+  }
 
 private:
   // Clause storage: clauses live in a flat arena; a ClauseRef is an offset.
@@ -288,6 +294,18 @@ private:
   double MaxLearned = 0;
   uint64_t RandomState = 0x9e3779b97f4a7c15ULL;
   obs::Recorder *Obs = nullptr;
+  /// The `sat.*` metrics of Obs, looked up at the first solve that
+  /// records metrics: a solver that never solves registers none.
+  struct SolveMeters {
+    obs::Counter *SolveCalls = nullptr;
+    obs::Counter *Conflicts = nullptr;
+    obs::Counter *Propagations = nullptr;
+    obs::Counter *Restarts = nullptr;
+    obs::Counter *KeptAssignments = nullptr;
+    obs::Counter *HeapPops = nullptr;
+    obs::Histogram *ConflictsPerSolve = nullptr;
+  };
+  SolveMeters Meters;
 
   SolverStats Stats;
   uint64_t Digest = 1469598103934665603ull; ///< See formulaDigest().

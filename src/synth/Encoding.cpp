@@ -226,7 +226,7 @@ void Encoding::sync() {
   }
   buildBlockedCombos();
   VarCount = static_cast<size_t>(Solver.numVars());
-  if (Opts.Obs)
+  if (Opts.Obs && Opts.Obs->tracing())
     Opts.Obs->instant("synth.sync", "synth",
                       obs::ArgList()
                           .add("length", NumLines)

@@ -20,8 +20,8 @@
 #define SYRUST_SYNTH_SEENPROGRAMS_H
 
 #include "program/Program.h"
-#include "support/StringUtils.h"
 
+#include <charconv>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,12 +39,21 @@ public:
   /// Canonical structural key, covering exactly what Program::hash()
   /// covers (API ids, argument wiring, statement count) so a key match
   /// is precisely "the hash told the truth".
+  /// One statement renders as `api(arg,arg,...)`, in decimal.
   static std::string canonicalKey(const program::Program &P) {
     std::string Key;
+    char Buf[16];
+    auto AppendInt = [&](int N) {
+      Key.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), N).ptr);
+    };
     for (const program::Stmt &S : P.Stmts) {
-      Key += format("%d(", S.Api);
-      for (size_t J = 0; J < S.Args.size(); ++J)
-        Key += format(J ? ",%d" : "%d", S.Args[J]);
+      AppendInt(S.Api);
+      Key += '(';
+      for (size_t J = 0; J < S.Args.size(); ++J) {
+        if (J)
+          Key += ',';
+        AppendInt(S.Args[J]);
+      }
       Key += ')';
     }
     return Key;

@@ -73,11 +73,12 @@ std::unique_ptr<Encoding> Synthesizer::makeEncoding(int Length) {
   }
   Stats.BuildSeconds += secondsSince(T0);
   if (Opts.Obs) {
-    Opts.Obs->instant("synth.build", "synth",
-                      obs::ArgList()
-                          .add("length", Length)
-                          .add("reblocked",
-                               static_cast<uint64_t>(Reblocked)));
+    if (Opts.Obs->tracing())
+      Opts.Obs->instant("synth.build", "synth",
+                        obs::ArgList()
+                            .add("length", Length)
+                            .add("reblocked",
+                                 static_cast<uint64_t>(Reblocked)));
     Opts.Obs->count("synth.builds");
   }
   return E;
@@ -160,9 +161,10 @@ void Synthesizer::notifyDatabaseChanged() {
       if (Extended) {
         ++Stats.IncrementalExtends;
         if (Opts.Obs) {
-          Opts.Obs->instant("synth.extend", "synth",
-                            obs::ArgList().add("length",
-                                               Stats.CurrentLength));
+          if (Opts.Obs->tracing())
+            Opts.Obs->instant("synth.extend", "synth",
+                              obs::ArgList().add("length",
+                                                 Stats.CurrentLength));
           Opts.Obs->count("synth.extends");
         }
       } else {
@@ -193,9 +195,10 @@ void Synthesizer::notifyDatabaseChanged() {
     if (Extended) {
       ++Stats.IncrementalExtends;
       if (Opts.Obs) {
-        Opts.Obs->instant("synth.extend", "synth",
-                          obs::ArgList().add("length",
-                                             static_cast<int>(Idx) + 1));
+        if (Opts.Obs->tracing())
+          Opts.Obs->instant("synth.extend", "synth",
+                            obs::ArgList().add("length",
+                                               static_cast<int>(Idx) + 1));
         Opts.Obs->count("synth.extends");
       }
     } else {
@@ -208,9 +211,10 @@ void Synthesizer::notifyDatabaseChanged() {
       ++Stats.DeadLengthRevivals;
       Done = false;
       if (Opts.Obs) {
-        Opts.Obs->instant("synth.revive", "synth",
-                          obs::ArgList().add("length",
-                                             static_cast<int>(Idx) + 1));
+        if (Opts.Obs->tracing())
+          Opts.Obs->instant("synth.revive", "synth",
+                            obs::ArgList().add("length",
+                                               static_cast<int>(Idx) + 1));
         Opts.Obs->count("synth.revivals");
       }
     }
@@ -253,10 +257,11 @@ bool Synthesizer::acceptProgram(Program &P) {
   }
   ++Stats.Emitted;
   if (Opts.Obs) {
-    Opts.Obs->instant("synth.emit", "synth",
-                      obs::ArgList().add(
-                          "length",
-                          static_cast<uint64_t>(P.Stmts.size())));
+    if (Opts.Obs->tracing())
+      Opts.Obs->instant("synth.emit", "synth",
+                        obs::ArgList().add(
+                            "length",
+                            static_cast<uint64_t>(P.Stmts.size())));
     Opts.Obs->count("synth.emitted");
     Opts.Obs->gaugeSet("synth.current_length", Stats.CurrentLength);
   }

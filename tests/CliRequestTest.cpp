@@ -162,6 +162,28 @@ TEST(CliRequestTest, RetiredEscapeHatchesAreRejected) {
   }
 }
 
+TEST(CliRequestTest, UnknownFlagYieldsOneMessageInEitherOrder) {
+  // After the positional, the word following an unknown flag is taken
+  // as its value and swallowed; before it, the word is still the crate.
+  std::vector<std::string> Errors =
+      parseErrors(Verb::Run, {"slab", "--connect", "x"});
+  ASSERT_EQ(1u, Errors.size());
+  EXPECT_EQ("unknown flag '--connect'", Errors.front());
+
+  RequestSpec Spec;
+  Errors.clear();
+  const char *Argv[] = {"--bogus", "slab"};
+  EXPECT_FALSE(parseArgv(Verb::Run, 2, Argv, Spec, Errors));
+  ASSERT_EQ(1u, Errors.size());
+  EXPECT_EQ("unknown flag '--bogus'", Errors.front());
+  EXPECT_EQ("slab", Spec.Run.Crate);
+
+  // A verb without a positional swallows the word as well.
+  Errors = parseErrors(Verb::Campaign, {"--bogus", "x"});
+  ASSERT_EQ(1u, Errors.size());
+  EXPECT_EQ("unknown flag '--bogus'", Errors.front());
+}
+
 TEST(CliRequestTest, FinalizeCrossFieldRules) {
   core::Session S;
   {

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 using namespace syrust;
@@ -68,6 +69,46 @@ TEST(ObsGoldenTest, RecorderDoesNotPerturbTheRun) {
   EXPECT_EQ(Traced.Result.ElapsedSeconds, Plain.ElapsedSeconds);
   EXPECT_EQ(Traced.Result.Synth.Emitted, Plain.Synth.Emitted);
   EXPECT_EQ(Traced.Result.Refine.ComboBlocks, Plain.Refine.ComboBlocks);
+}
+
+TEST(ObsGoldenTest, MetricsOnlyRecorderCountsLikeATracingOne) {
+  // Event arguments are built only when tracing is on; the guard must
+  // never swallow a count() and must never drop an event.
+  RunConfig C = tracedConfig();
+  C.Seed = 1;
+  auto CountersOf = [](obs::Recorder &Rec) {
+    std::map<std::string, uint64_t> Out;
+    for (const auto &[Name, Ctr] : Rec.metrics().counters())
+      Out[Name] = Ctr->value();
+    return Out;
+  };
+  obs::Recorder::Options MetricsOnly;
+  MetricsOnly.Trace = false;
+  obs::Recorder Quiet(MetricsOnly);
+  SyRustDriver(*findCrate("slab"), C, &Quiet).run();
+  obs::Recorder Loud;
+  SyRustDriver(*findCrate("slab"), C, &Loud).run();
+
+  std::map<std::string, uint64_t> Counted = CountersOf(Loud);
+  EXPECT_EQ(CountersOf(Quiet), Counted);
+  EXPECT_EQ(Quiet.tracer().numEvents(), 0u);
+
+  auto EventsNamed = [&](const std::string &Name) {
+    const std::string Prefix = "{\"name\":\"" + Name + "\",";
+    uint64_t N = 0;
+    for (const std::string &E : Loud.tracer().events())
+      N += E.compare(0, Prefix.size(), Prefix) == 0;
+    return N;
+  };
+  const std::pair<const char *, const char *> EventCounter[] = {
+      {"sat.solve", "sat.solve_calls"},
+      {"compile.verdict", "compile.checks"},
+      {"exec.verdict", "exec.runs"},
+      {"synth.emit", "synth.emitted"}};
+  for (const auto &[Event, Counter] : EventCounter) {
+    EXPECT_GT(Counted[Counter], 0u) << Counter;
+    EXPECT_EQ(EventsNamed(Event), Counted[Counter]) << Event;
+  }
 }
 
 TEST(ObsGoldenTest, TraceIsValidChromeTraceJson) {

@@ -13,6 +13,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 using namespace syrust;
 using namespace syrust::obs;
@@ -87,6 +89,24 @@ TEST(MetricsRegistryTest, LookupCreatesAndReturnsStableRefs) {
   A.inc(3);
   EXPECT_EQ(M.counter("x").value(), 3u);
   EXPECT_EQ(&M.counter("x"), &A);
+}
+
+TEST(MetricsRegistryTest, ViewAndStringLookupsShareOneSlot) {
+  // Longer than the small-string buffer, so a std::string key would
+  // allocate; the view lookup must still land on the same counter.
+  MetricsRegistry M;
+  const std::string Name = "sat.kept_assignments";
+  Counter &ByView = M.counter(std::string_view(Name));
+  EXPECT_EQ(&M.counter(Name), &ByView);
+  EXPECT_EQ(&M.counter("sat.kept_assignments"), &ByView);
+  M.counter("b");
+  M.counter("a.z");
+  M.counter("a");
+  std::vector<std::string> Names;
+  for (const auto &[N, C] : M.counters())
+    Names.push_back(N);
+  EXPECT_EQ(Names, (std::vector<std::string>{"a", "a.z", "b",
+                                              "sat.kept_assignments"}));
 }
 
 TEST(MetricsRegistryTest, SnapshotCadenceProducesOneLineEach) {

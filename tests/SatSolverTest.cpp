@@ -682,6 +682,27 @@ TEST(StatsTest, CountersAdvance) {
   EXPECT_GT(S.stats().Propagations, 0u);
 }
 
+TEST(StatsTest, ConflictFreeSolveTakesEveryVariableOffTheHeapOnce) {
+  // Without conflicts nothing re-enters the heap, so each variable
+  // leaves it exactly once: by a pop, or by the clear at a complete
+  // assignment. Propagated variables (the forced member of the exactly-
+  // one, the root unit, the implied chain) are still in the heap then.
+  Solver S;
+  auto Vars = makeVars(S, 12);
+  std::vector<Lit> One;
+  for (int I = 0; I < 6; ++I)
+    One.push_back(mkLit(Vars[I]));
+  S.addExactly(One, 1);
+  ASSERT_TRUE(S.addClause(mkLit(Vars[6])));
+  for (int I = 7; I < 11; ++I)
+    S.addClause(mkLit(Vars[I], true), mkLit(Vars[I + 1]));
+  S.addClause(mkLit(Vars[6], true), mkLit(Vars[7]));
+  ASSERT_EQ(S.solve(), SolveResult::Sat);
+  ASSERT_EQ(S.stats().Conflicts, 0u);
+  EXPECT_GT(S.stats().Propagations, S.stats().Decisions);
+  EXPECT_EQ(S.stats().HeapPops, static_cast<uint64_t>(S.numVars()));
+}
+
 //===----------------------------------------------------------------------===//
 // All-Undef projections
 //===----------------------------------------------------------------------===//

@@ -820,6 +820,17 @@ TEST(SeenProgramsTest, CollisionsAreDistinguishedFromDuplicates) {
   EXPECT_EQ(Seen.noteKeyed(7, "1(2)"), SeenOutcome::Fresh);
 }
 
+TEST(SeenProgramsTest, CanonicalKeySpellsApiIdsAndArgumentWiring) {
+  // The key text is the duplicate net's identity: pin it so a faster
+  // renderer cannot silently change which programs count as equal.
+  Program P;
+  P.Stmts.push_back(Stmt{3, {0}, 2, nullptr});
+  P.Stmts.push_back(Stmt{12, {1, 2, 0}, 3, nullptr});
+  EXPECT_EQ(SeenPrograms::canonicalKey(P), "3(0)12(1,2,0)");
+  P.Stmts.push_back(Stmt{7, {}, 4, nullptr});
+  EXPECT_EQ(SeenPrograms::canonicalKey(P), "3(0)12(1,2,0)7()");
+}
+
 TEST_F(SynthFixture, ForcedCollidingProgramsBothSurviveTheNet) {
   // Two genuinely distinct one-line programs forced onto one hash: the
   // canonical keys differ, so the second is kept as a collision and the
