@@ -12,9 +12,9 @@
 ///
 /// Every figure bench also writes a machine-readable companion document,
 /// `BENCH_<name>.json`, with per-run host wall time, the pipeline's
-/// per-stage wall breakdown (encoding build / solver), compat-cache hit
-/// rates, and solver conflict counts - so CI can track throughput without
-/// scraping the human-readable tables.
+/// per-stage wall breakdown (encoding build / solver) and solver conflict
+/// counts - so CI can track throughput without scraping the
+/// human-readable tables.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,7 +79,7 @@ public:
   }
 
   /// Records one run: \p HostSeconds is the run's host wall time, the
-  /// per-stage breakdown and cache/solver counters come from \p R, and
+  /// per-stage breakdown and solver counters come from \p R, and
   /// the members of \p Extra (a JSON object) are added as they are.
   void addRun(const std::string &Label, const core::RunResult &R,
               double HostSeconds, const json::Value &Extra = {}) {
@@ -101,21 +101,6 @@ public:
     E.set("solver_propagations",
           json::Value::integer(
               static_cast<int64_t>(R.Synth.SolverPropagations)));
-    uint64_t Hits = R.Synth.CompatHits + R.Synth.CompatBaseHits;
-    uint64_t Probes = Hits + R.Synth.CompatMisses;
-    E.set("compat_cache_hits",
-          json::Value::integer(static_cast<int64_t>(R.Synth.CompatHits)));
-    E.set("compat_cache_base_hits",
-          json::Value::integer(
-              static_cast<int64_t>(R.Synth.CompatBaseHits)));
-    E.set("compat_cache_misses",
-          json::Value::integer(
-              static_cast<int64_t>(R.Synth.CompatMisses)));
-    E.set("compat_cache_hit_rate",
-          json::Value::number(
-              Probes == 0 ? 0.0
-                          : static_cast<double>(Hits) /
-                                static_cast<double>(Probes)));
     for (const auto &[Key, V] : Extra.members())
       E.set(Key, V);
     Runs.push(std::move(E));

@@ -17,7 +17,6 @@
 #include "coverage/ApiPairCoverage.h"
 #include "crates/CrateRegistry.h"
 #include "synth/Synthesizer.h"
-#include "types/CompatCache.h"
 
 #include "MicroMain.h"
 
@@ -40,8 +39,7 @@ void BM_GraphBuild(benchmark::State &State) {
       findCrate(GraphCrates[State.range(0)])->instantiate();
   size_t Edges = 0;
   for (auto _ : State) {
-    types::CompatCache Cache;
-    DependencyGraph G = buildDependencyGraph(Inst->Db, Inst->Arena, Cache);
+    DependencyGraph G = buildDependencyGraph(Inst->Db, Inst->Arena);
     Edges = G.numEdges();
     benchmark::DoNotOptimize(Edges);
   }
@@ -52,8 +50,7 @@ BENCHMARK(BM_GraphBuild)->ArgName("crate")->Arg(0)->Arg(1)->Arg(2);
 void BM_MarkProgram(benchmark::State &State) {
   // Raw marking rate over a pre-enumerated program batch.
   auto Inst = findCrate("slab")->instantiate();
-  types::CompatCache Cache;
-  DependencyGraph G = buildDependencyGraph(Inst->Db, Inst->Arena, Cache);
+  DependencyGraph G = buildDependencyGraph(Inst->Db, Inst->Arena);
   Synthesizer Synth(Inst->Arena, Inst->Traits, Inst->Db, Inst->Inputs, 4,
                     SynthOptions{});
   std::vector<program::Program> Programs;
@@ -80,8 +77,7 @@ void BM_FullPipelinePerTest(benchmark::State &State) {
   // bolted on when Arg is 1 - the A/B CI compares.
   bool Mark = State.range(0) != 0;
   auto Inst = findCrate("smallvec")->instantiate();
-  types::CompatCache Cache;
-  DependencyGraph G = buildDependencyGraph(Inst->Db, Inst->Arena, Cache);
+  DependencyGraph G = buildDependencyGraph(Inst->Db, Inst->Arena);
   ApiPairCoverage Cov(G);
   Synthesizer Synth(Inst->Arena, Inst->Traits, Inst->Db, Inst->Inputs,
                     Inst->MaxLen, SynthOptions{});

@@ -11,10 +11,9 @@
 /// large number of per-slot probes of which most FAIL (no clause work
 /// follows, the probe itself is the cost) and none are joint probes. A
 /// handful of consumers take a type nothing produces, exercising the
-/// dead-API pass. Both sides share one pre-warmed CompatCache (the graph
-/// build populates it with exactly the encoder's renamed probe keys) and
-/// the same frozen graph; the only difference is SynthOptions::GraphPrune,
-/// i.e. whether a probe is an O(1) bitset test or a memo-table lookup.
+/// dead-API pass. Both sides share the same frozen graph; the only
+/// difference is SynthOptions::GraphPrune, i.e. whether a probe is an
+/// O(1) bitset test or a direct unification.
 /// The rebuild-the-world refinement path (incremental refinement off,
 /// interleaved lengths, a no-op database notification per round) forces
 /// every round to rebuild all live encodings and re-ask the whole probe
@@ -32,7 +31,6 @@
 #include "report/Table.h"
 #include "support/StringUtils.h"
 #include "synth/Synthesizer.h"
-#include "types/CompatCache.h"
 #include "types/TypeParser.h"
 
 #include <cinttypes>
@@ -70,14 +68,12 @@ struct StressResult {
 StressResult runStress(bool GraphPrune, types::TypeArena &Arena,
                        const types::TraitEnv &Traits, api::ApiDatabase &Db,
                        const api::DependencyGraph &Graph,
-                       types::CompatCache &Cache,
                        const std::vector<program::TemplateInput> &Inputs) {
   SynthOptions Opts;
   // Rebuild-the-world: every notifyDatabaseChanged() tears down and
   // reconstructs all live encodings, re-asking the full probe workload.
   Opts.IncrementalRefinement = false;
   Opts.InterleaveLengths = true;
-  Opts.Compat = &Cache;
   Opts.Graph = &Graph;
   Opts.GraphPrune = GraphPrune;
   Synthesizer Synth(Arena, Traits, Db, Inputs, kMaxLines, Opts);
@@ -152,16 +148,10 @@ int main() {
   std::vector<program::TemplateInput> Inputs = {
       {"n", Parser.parse("usize")}};
 
-  // One cache for both sides, pre-warmed by the graph build itself: the
-  // graph probes exactly the encoder's renamed (output, input) pairs, so
-  // the off side measures warm memo lookups, not cold unifications.
-  types::CompatCache Cache;
-  api::DependencyGraph Graph =
-      api::buildDependencyGraph(Db, Arena, Cache);
+  api::DependencyGraph Graph = api::buildDependencyGraph(Db, Arena);
 
-  StressResult On = runStress(true, Arena, Traits, Db, Graph, Cache, Inputs);
-  StressResult Off =
-      runStress(false, Arena, Traits, Db, Graph, Cache, Inputs);
+  StressResult On = runStress(true, Arena, Traits, Db, Graph, Inputs);
+  StressResult Off = runStress(false, Arena, Traits, Db, Graph, Inputs);
   if (On.Hashes != Off.Hashes) {
     StreamsIdentical = false;
     std::fprintf(stderr, "FAIL: stress program stream diverged with "

@@ -13,8 +13,7 @@ using namespace syrust::api;
 using namespace syrust::types;
 
 DependencyGraph syrust::api::buildDependencyGraph(const ApiDatabase &Db,
-                                                  TypeArena &Arena,
-                                                  CompatCache &Cache) {
+                                                  TypeArena &Arena) {
   DependencyGraph G;
   G.NumNodes = Db.size();
 
@@ -27,9 +26,8 @@ DependencyGraph syrust::api::buildDependencyGraph(const ApiDatabase &Db,
   G.Bits.assign(static_cast<size_t>(G.SlotBase[Db.size()]) * G.WordsPerRow,
                 0);
 
-  // Rename with the same "a<ApiId>" suffix Encoding::sync and
-  // CrateAnalysis use, so the probe keys below are the interned pointers
-  // the precomputed matrix already holds.
+  // Rename with the same "a<ApiId>" suffix Encoding::sync uses, so the
+  // encoder's renames resolve to these interned pointers.
   std::vector<std::vector<const Type *>> RenIn(Db.size());
   std::vector<const Type *> RenOut(Db.size());
   for (size_t K = 0; K < Db.size(); ++K) {
@@ -47,7 +45,8 @@ DependencyGraph syrust::api::buildDependencyGraph(const ApiDatabase &Db,
     for (size_t B = 0; B < Db.size(); ++B) {
       for (size_t J = 0; J < RenIn[B].size(); ++J) {
         const Type *Pattern = RenIn[B][J];
-        if (!Cache.unifiable2(RenOut[A], Pattern))
+        Substitution Probe;
+        if (!unifiable(RenOut[A], Pattern, Probe))
           continue;
         DependencyEdge E;
         E.Producer = static_cast<ApiId>(A);

@@ -8,11 +8,11 @@
 /// The API dependency graph: nodes are the API signatures of one crate's
 /// database and a directed edge (A, B, j) says "the output of A unifies
 /// into input slot j of B" - the producer/consumer relation RULF uses as
-/// its coverage unit for library fuzzing. The edge set is derived from
-/// exactly the slot-pairwise compatibility probes core::CrateAnalysis
-/// already precomputes (renamed output type vs renamed input pattern
-/// under two-sided unification), so building the graph alongside the
-/// matrix costs zero extra probes.
+/// its coverage unit for library fuzzing. Each candidate edge is one
+/// direct unification probe of the renamed output type against the
+/// renamed input pattern - the same probe the encoder makes for a
+/// (producer, consumer, slot) triple - so the edge set is exactly the
+/// probe-success set.
 ///
 /// The graph is frozen per crate: it covers every signature of the base
 /// database (bans and run-local refinement never change it), edges are
@@ -29,7 +29,7 @@
 #define SYRUST_API_DEPENDENCYGRAPH_H
 
 #include "api/ApiDatabase.h"
-#include "types/CompatCache.h"
+#include "types/Type.h"
 
 #include <cstdint>
 #include <string>
@@ -79,9 +79,9 @@ public:
   /// O(1) membership test over the same edge set as edgeIndex(), backed
   /// by per-(consumer, slot) bitset rows over producer ids instead of a
   /// hash probe. This is the encoder's pruning fast path: one bit test
-  /// replaces a CompatCache lookup, and by construction (the edge set is
+  /// replaces a unification, and by construction (the edge set is
   /// exactly the probe-success set) the answer equals
-  /// Cache.unifiable2(renamed output of Producer, renamed slot pattern).
+  /// unifiable(renamed output of Producer, renamed slot pattern).
   bool hasEdge(ApiId Producer, ApiId Consumer, int Slot) const {
     size_t Row = static_cast<size_t>(SlotBase[static_cast<size_t>(Consumer)]) +
                  static_cast<size_t>(Slot);
@@ -107,8 +107,7 @@ public:
 
 private:
   friend DependencyGraph buildDependencyGraph(const ApiDatabase &Db,
-                                              types::TypeArena &Arena,
-                                              types::CompatCache &Cache);
+                                              types::TypeArena &Arena);
 
   static uint64_t packKey(ApiId Producer, ApiId Consumer, int Slot) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(Producer)) << 40) |
@@ -132,15 +131,13 @@ private:
 };
 
 /// Builds the graph over every signature of \p Db. Signatures are
-/// renamed with the same "a<ApiId>" suffix Encoding::sync uses (interned
-/// into \p Arena, so inside core::CrateAnalysis the renames resolve to
-/// the already-interned pointers) and each candidate edge is one
-/// \c unifiable2(renamed output, renamed slot pattern) probe through
-/// \p Cache - the exact probes of the precomputed per-slot matrix, so a
-/// build over a populated base cache adds no new entries.
+/// renamed with the same "a<ApiId>" suffix Encoding::sync uses, interned
+/// into \p Arena (inside core::CrateAnalysis that is the base arena, so
+/// every worker's renames resolve to these pointers), and each candidate
+/// edge is one direct \c unifiable(renamed output, renamed slot pattern)
+/// probe under a fresh substitution.
 DependencyGraph buildDependencyGraph(const ApiDatabase &Db,
-                                     types::TypeArena &Arena,
-                                     types::CompatCache &Cache);
+                                     types::TypeArena &Arena);
 
 } // namespace syrust::api
 

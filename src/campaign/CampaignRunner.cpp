@@ -53,6 +53,17 @@ struct WorkerQueue {
 
 } // namespace
 
+obs::Recorder::Options
+syrust::campaign::workerRecorderOptions(const CampaignSpec &Spec,
+                                        int Worker) {
+  obs::Recorder::Options Opts;
+  Opts.Trace = Spec.Trace;
+  Opts.Metrics = true;
+  Opts.Snapshots = false;
+  Opts.Lane = Worker;
+  return Opts;
+}
+
 CampaignRunner::CampaignRunner(const Session &S, CampaignSpec Spec)
     : S(S), Spec(std::move(Spec)) {
   assert(this->Spec.validate(S).empty() &&
@@ -114,13 +125,8 @@ CampaignResult CampaignRunner::run() {
   // shows one named track per worker.
   std::vector<obs::Recorder> Recorders;
   Recorders.reserve(Workers);
-  for (int W = 0; W < Workers; ++W) {
-    obs::Recorder::Options Opts;
-    Opts.Trace = Spec.Trace;
-    Opts.Metrics = true;
-    Opts.Lane = W;
-    Recorders.emplace_back(Opts);
-  }
+  for (int W = 0; W < Workers; ++W)
+    Recorders.emplace_back(workerRecorderOptions(Spec, W));
 
   std::mutex JobDoneMu;
   auto WorkerLoop = [&](int Me) {

@@ -27,6 +27,7 @@
 #define SYRUST_CAMPAIGN_CAMPAIGNRUNNER_H
 
 #include "campaign/Campaign.h"
+#include "obs/Recorder.h"
 
 #include <functional>
 #include <map>
@@ -39,6 +40,12 @@ struct PreloadedCell {
   core::RunResult Result;
   std::map<std::string, uint64_t> CounterDeltas;
 };
+
+/// The recorder options of pool worker \p Worker: counters for the
+/// aggregate's metrics section, trace events when Spec.Trace, and no
+/// metric snapshot lines, which nothing in a campaign reads.
+obs::Recorder::Options workerRecorderOptions(const CampaignSpec &Spec,
+                                             int Worker);
 
 /// Runs one campaign. See file comment for the scheduling and
 /// determinism contract.

@@ -17,10 +17,20 @@ using namespace syrust::json;
 
 namespace {
 
+/// Version of the metric counter set a run records. Cell lines carry
+/// per-cell counter deltas that a resume sums with the live workers'
+/// counters, so a checkpoint written by a build that records other
+/// counters would merge into an aggregate no fresh run produces; folding
+/// this into the fingerprint refuses it instead. Bump it whenever runs
+/// stop or start recording a counter. 2: the compatibility memo and its
+/// counters were removed.
+constexpr int64_t CounterSetVersion = 2;
+
 /// The canonical spec document the fingerprint hashes: everything that
 /// determines results, nothing that doesn't (Jobs, Trace).
 Value specToCanonicalJson(const CampaignSpec &Spec) {
   Value V = Value::object();
+  V.set("counter_set", Value::integer(CounterSetVersion));
   Value Crates = Value::array();
   for (const std::string &C : Spec.Crates)
     Crates.push(Value::string(C));

@@ -6,103 +6,13 @@
 
 #include "core/CrateAnalysis.h"
 
-#include "support/StringUtils.h"
-#include "types/Subtyping.h"
-
-#include <set>
-
 using namespace syrust;
-using namespace syrust::api;
 using namespace syrust::core;
 using namespace syrust::crates;
-using namespace syrust::types;
-
-namespace {
-
-/// Precompute guard: a pathological model (huge API count x huge type
-/// universe) should not stall Session construction. Beyond this many
-/// joint entries the remaining pairs are left to the workers' lazy
-/// per-run caches; correctness is unaffected.
-constexpr size_t MaxJointEntries = 2'000'000;
-
-} // namespace
 
 CrateAnalysis::CrateAnalysis(const CrateSpec &Spec)
-    : Base(Spec.instantiate()) {
-  TypeArena &Arena = Base->Arena;
-  const ApiDatabase &Db = Base->Db;
-
-  // Rename every API's signature exactly as Encoding::sync will
-  // (suffix "a<ApiId>"), interning into the base arena: workers' overlay
-  // arenas resolve the same renames to these pointers, so their probes
-  // hit the matrix computed below. All APIs are covered, not just one
-  // run's 15-API selection - the matrix is selection-independent.
-  std::vector<std::vector<const Type *>> RenIn(Db.size());
-  std::vector<const Type *> RenOut(Db.size());
-  for (size_t K = 0; K < Db.size(); ++K) {
-    const ApiSig &Sig = Db.get(static_cast<ApiId>(K));
-    std::string Suffix = format("a%d", static_cast<ApiId>(K));
-    for (const Type *In : Sig.Inputs)
-      RenIn[K].push_back(renameVars(Arena, In, Suffix));
-    RenOut[K] = renameVars(Arena, Sig.Output, Suffix);
-  }
-
-  // The encoder-level cell-type universe: template input types, renamed
-  // API outputs, and the builtin-derived types (&T and &mut T of every
-  // non-reference cell type; let-mut copies the type itself). This is
-  // the closure of Encoding::buildTypeUniverse over any line count -
-  // builtins act on non-refs only, so one derivation round suffices.
-  std::vector<const Type *> Cells;
-  std::set<const Type *> Seen;
-  auto AddCell = [&](const Type *Ty) {
-    if (Seen.insert(Ty).second)
-      Cells.push_back(Ty);
-  };
-  for (const auto &In : Base->Inputs)
-    AddCell(In.Ty);
-  for (size_t K = 0; K < Db.size(); ++K)
-    if (Db.get(static_cast<ApiId>(K)).Builtin == BuiltinKind::None)
-      AddCell(RenOut[K]);
-  for (size_t I = Cells.size(); I-- > 0;) {
-    const Type *Ty = Cells[I];
-    if (Ty->isRef())
-      continue;
-    AddCell(Arena.ref(Ty, /*Mutable=*/false));
-    AddCell(Arena.ref(Ty, /*Mutable=*/true));
-  }
-
-  // Per-slot matrix: every (cell type, renamed input pattern) pair the
-  // call-site builder can probe.
-  for (size_t K = 0; K < Db.size(); ++K)
-    for (const Type *Pattern : RenIn[K])
-      for (const Type *Ty : Cells)
-        BaseCache.unifiable2(Ty, Pattern);
-
-  // Producer/consumer graph over the same renamed signatures. Every
-  // probe it makes is (RenOut, Pattern) - a subset of the per-slot loop
-  // above, so this is pure cache hits: zero extra unification work.
-  // Built before the joint loop so its MaxJointEntries early return
-  // cannot leave the graph empty.
-  Graph = api::buildDependencyGraph(Db, Arena, BaseCache);
-
-  // Joint slot-pairwise matrix (Definition 2(3)): for every API with at
-  // least two inputs, every slot pair under every cell-type pair. The
-  // builtins all take one input, so they never reach this loop.
-  for (size_t K = 0; K < Db.size(); ++K) {
-    const std::vector<const Type *> &In = RenIn[K];
-    for (size_t J1 = 0; J1 < In.size(); ++J1) {
-      for (size_t J2 = J1 + 1; J2 < In.size(); ++J2) {
-        for (const Type *T1 : Cells) {
-          for (const Type *T2 : Cells) {
-            if (BaseCache.size() >= MaxJointEntries)
-              return;
-            BaseCache.unifiableJoint(T1, In[J1], T2, In[J2]);
-          }
-        }
-      }
-    }
-  }
-}
+    : Base(Spec.instantiate()),
+      Graph(api::buildDependencyGraph(Base->Db, Base->Arena)) {}
 
 std::unique_ptr<CrateInstance> CrateAnalysis::makeWorkerInstance() const {
   return std::make_unique<CrateInstance>(*Base, types::Overlay);

@@ -8,35 +8,27 @@
 /// One immutable instantiation of a library model, computed once per
 /// crate and shared read-only across every run and campaign worker that
 /// targets it. A campaign matrix typically multiplies one crate by many
-/// (seed, variant) jobs, and before this existed each job re-ran
-/// CrateSpec::instantiate() and re-answered the encoder's entire
-/// pairwise-compatibility workload from scratch - the dominant redundant
-/// work at campaign scale.
+/// (seed, variant) jobs; without this each job would re-run
+/// CrateSpec::instantiate() and rebuild the dependency graph.
 ///
 /// The analysis owns:
 ///   * the base CrateInstance (arena, trait rules, API database,
 ///     semantics), frozen after construction;
-///   * the renamed per-API signatures the encoder will request
-///     (renameVars with the same "a<ApiId>" suffix Encoding::sync uses),
-///     interned into the base arena so every worker's renames resolve to
-///     identical pointers;
-///   * a precomputed CompatCache holding the slot-pairwise compatibility
-///     matrix over the initial signatures - both the per-slot
-///     "can this value feed this input" probes and the joint two-slot
-///     probes of Definition 2(3).
+///   * the frozen api::DependencyGraph over every base signature. Its
+///     build interns the renamed per-API signatures the encoder will
+///     request (renameVars with the same "a<ApiId>" suffix
+///     Encoding::sync uses) into the base arena, so every worker's
+///     renames resolve to identical pointers.
 ///
 /// It is the one place a run's setup comes from: the driver, the audit
-/// oracle and the coverage renderer take their instance, chained cache
-/// and dependency graph from here.
+/// oracle and the coverage renderer take their instance and dependency
+/// graph from here.
 ///
 /// Workers call makeWorkerInstance() for a private copy-on-write overlay
-/// (chained arena, copied database/traits/semantics) and chain a private
-/// CompatCache onto baseCache(): probes over base types hit the shared
-/// matrix; probes involving refinement-added instances are computed and
-/// stored per worker. Determinism: the base is immutable at run time and
-/// each worker's probe sequence depends only on its own (crate, seed,
-/// variant) job, so per-job cache counters - and therefore the summed
-/// campaign aggregates - are byte-identical for any --jobs count.
+/// (chained arena, copied database/traits/semantics). Determinism: the
+/// base is immutable at run time and each worker's work depends only on
+/// its own (crate, seed, variant) job, so per-job results - and the
+/// summed campaign aggregates - are byte-identical for any --jobs count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,18 +37,18 @@
 
 #include "api/DependencyGraph.h"
 #include "crates/CrateSpec.h"
-#include "types/CompatCache.h"
+#include "synth/E2eShims.h"
 
 #include <memory>
 
 namespace syrust::core {
 
 /// Immutable shared analysis for one crate. See file comment.
-class CrateAnalysis {
+class CrateAnalysis : public synth::CrateAnalysisShim {
 public:
-  /// Instantiates \p Spec once and precomputes the compatibility matrix.
-  /// The spec must outlive the analysis (it holds no reference, but the
-  /// semantics lambdas may).
+  /// Instantiates \p Spec once and builds its dependency graph. The spec
+  /// must outlive the analysis (it holds no reference, but the semantics
+  /// lambdas may).
   explicit CrateAnalysis(const crates::CrateSpec &Spec);
 
   CrateAnalysis(const CrateAnalysis &) = delete;
@@ -67,27 +59,18 @@ public:
   /// makeWorkerInstance().
   const crates::CrateInstance &base() const { return *Base; }
 
-  /// The precomputed compatibility matrix. Chain a per-run CompatCache
-  /// onto this; never write to it.
-  const types::CompatCache &baseCache() const { return BaseCache; }
-
   /// A private copy-on-write overlay instance for one run: chained
   /// arena, copied API database / trait rules / semantics. Cheap next to
   /// instantiate() - no model rebuild, no re-interning.
   std::unique_ptr<crates::CrateInstance> makeWorkerInstance() const;
 
-  /// Entries in the precomputed matrix (observability and tests).
-  size_t matrixEntries() const { return BaseCache.size(); }
-
-  /// The frozen producer/consumer graph over the base database, derived
-  /// from the per-slot matrix (the probes are pure cache hits - zero
-  /// extra unification work). Shared read-only by every worker's
+  /// The frozen producer/consumer graph over the base database. Shared
+  /// read-only by every worker's encoder (graph-guided probes) and
   /// coverage::ApiPairCoverage.
   const api::DependencyGraph &graph() const { return Graph; }
 
 private:
   std::unique_ptr<crates::CrateInstance> Base;
-  types::CompatCache BaseCache;
   api::DependencyGraph Graph;
 };
 

@@ -149,13 +149,6 @@ json::Value syrust::core::resultToJson(const RunResult &R,
   Synth.set("solver_propagations",
             Value::integer(
                 static_cast<int64_t>(R.Synth.SolverPropagations)));
-  Synth.set("compat_cache_hits",
-            Value::integer(static_cast<int64_t>(R.Synth.CompatHits)));
-  Synth.set("compat_cache_base_hits",
-            Value::integer(
-                static_cast<int64_t>(R.Synth.CompatBaseHits)));
-  Synth.set("compat_cache_misses",
-            Value::integer(static_cast<int64_t>(R.Synth.CompatMisses)));
   Synth.set("prune_graph_probes",
             Value::integer(
                 static_cast<int64_t>(R.Synth.PruneGraphProbes)));
@@ -407,9 +400,6 @@ bool syrust::core::resultFromJson(const Value &V, RunResult &Out,
     Out.Synth.SolveCalls = S.u64("solve_calls");
     Out.Synth.SolverConflicts = S.u64("solver_conflicts");
     Out.Synth.SolverPropagations = S.u64("solver_propagations");
-    Out.Synth.CompatHits = S.u64("compat_cache_hits");
-    Out.Synth.CompatBaseHits = S.u64("compat_cache_base_hits");
-    Out.Synth.CompatMisses = S.u64("compat_cache_misses");
     Out.Synth.PruneGraphProbes = S.u64("prune_graph_probes");
     Out.Synth.PruneFallbackProbes = S.u64("prune_fallback_probes");
     Out.Synth.PruneDeadSites = S.u64("prune_dead_sites");

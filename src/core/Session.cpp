@@ -33,7 +33,7 @@ std::vector<std::string> Session::supportedCrates() const {
 std::shared_ptr<const CrateAnalysis>
 Session::analysisFor(const CrateSpec &Spec) const {
   // Built under the lock: the first toucher pays the instantiation +
-  // matrix precompute once, concurrent workers for the same crate wait
+  // graph build once, concurrent workers for the same crate wait
   // and then share the result instead of duplicating the work.
   std::lock_guard<std::mutex> Lock(AnalysesMu);
   std::shared_ptr<const CrateAnalysis> &Slot = Analyses[&Spec];

@@ -19,8 +19,8 @@
 /// run state lives inside the per-call SyRustDriver.
 ///
 /// The Session additionally owns the lazily-built shared per-crate
-/// analyses (one immutable instantiation + precomputed compatibility
-/// matrix per crate, see CrateAnalysis.h): the first run against a crate
+/// analyses (one immutable instantiation + frozen dependency graph per
+/// crate, see CrateAnalysis.h): the first run against a crate
 /// builds its analysis under a lock, every later run - including all
 /// campaign workers, which share one Session - reuses it read-only
 /// through a copy-on-write overlay instance.

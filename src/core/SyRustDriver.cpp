@@ -210,14 +210,11 @@ RunResult SyRustDriver::run() {
   }
 
   // Every run works on the crate's shared analysis: an overlay of the
-  // frozen base instance, a private cache chained onto the precomputed
-  // matrix (so probe counts depend only on this run's own work, never
-  // on scheduling), and the frozen graph for coverage, graph-guided
+  // frozen base instance and the frozen graph for coverage, graph-guided
   // probes and bias-mode API selection.
   if (!Analysis)
     Analysis = std::make_shared<const CrateAnalysis>(*Spec);
   std::unique_ptr<CrateInstance> Inst = Analysis->makeWorkerInstance();
-  types::CompatCache Compat(&Analysis->baseCache());
   const api::DependencyGraph &Graph = Analysis->graph();
   Rng R(Config.Seed ^ std::hash<std::string>{}(Spec->Info.Name));
   selectApis(*Inst, Config.NumApis, Config.BiasCoverage ? &Graph : nullptr,
@@ -247,7 +244,6 @@ RunResult SyRustDriver::run() {
     Opts.SolveConflictBudget = Config.SolveConflictBudget;
   Opts.SolverSeed = Config.Seed;
   Opts.Obs = Obs;
-  Opts.Compat = &Compat;
   Opts.Graph = &Graph;
   Opts.GraphPrune = Config.GraphPrune;
   Opts.BiasCoverage = Config.BiasCoverage;
@@ -288,16 +284,12 @@ RunResult SyRustDriver::run() {
 
   if (Obs) {
     // Totals once up front, covered pre-created at zero: every metrics
-    // snapshot row carries the full coverage.api.* set from t=0. The
-    // matrix gauge is observability for the shared analysis; gauges are
-    // not campaign-merged, so per-run it is simply the frozen size.
+    // snapshot row carries the full coverage.api.* set from t=0.
     const coverage::ApiCoverageData D0 = ApiCov.data();
     Obs->count("coverage.api.nodes_total", D0.NodesTotal);
     Obs->count("coverage.api.edges_total", D0.EdgesTotal);
     Obs->count("coverage.api.nodes_covered", 0);
     Obs->count("coverage.api.edges_covered", 0);
-    Obs->gaugeSet("compat.matrix.entries",
-                  static_cast<double>(Analysis->matrixEntries()));
   }
 
   double NextSnapshot = Config.SnapshotInterval;
@@ -488,14 +480,7 @@ RunResult SyRustDriver::run() {
   Result.CoverageSnaps = Cov.snapshots();
   Result.CoverageSaturation = Cov.saturationTime();
   Result.Synth = Synth.stats();
-  const types::CompatCache::Stats &CS = Compat.stats();
-  Result.Synth.CompatHits = CS.Hits;
-  Result.Synth.CompatBaseHits = CS.BaseHits;
-  Result.Synth.CompatMisses = CS.Misses;
   if (Obs) {
-    Obs->count("compat.cache.hits", CS.Hits);
-    Obs->count("compat.cache.base_hits", CS.BaseHits);
-    Obs->count("compat.cache.misses", CS.Misses);
     Obs->count("synth.prune.graph_probes", Result.Synth.PruneGraphProbes);
     Obs->count("synth.prune.fallback_probes",
                Result.Synth.PruneFallbackProbes);

@@ -71,8 +71,8 @@ struct RunConfig {
   /// Polymorphism strategy; PurelyEager = the RQ3 variant.
   refine::RefinementMode Mode = refine::RefinementMode::Hybrid;
 
-  /// Read by nothing; kept only so e2ebench compiles. validate()
-  /// rejects any value but the default.
+  /// Read by nothing; kept only so e2ebench compiles (see
+  /// synth/E2eShims.h). validate() rejects any value but the default.
   bool Portfolio = false;
   std::string Strategy;
 
@@ -110,8 +110,8 @@ struct RunConfig {
   /// Graph-guided encoding pruning (SynthOptions::GraphPrune): the
   /// graph's edge set is exactly the probe-success set, so streams and
   /// result documents are byte-identical on/off - only the prune.*
-  /// probe-split and compat.cache.* counters move. A config-only toggle
-  /// for benches and the identity tests.
+  /// probe-split counters move. A config-only toggle for benches and the
+  /// identity tests.
   bool GraphPrune = true;
 
   /// Coverage-guided enumeration bias (--bias-coverage, off by
@@ -273,10 +273,8 @@ class SyRustDriver {
 public:
   /// \p Analysis is the crate's shared immutable analysis
   /// (Session::runOne supplies it): the run works on a copy-on-write
-  /// overlay instance, its compatibility cache chains onto the
-  /// precomputed matrix, and coverage and pruning read its frozen graph.
-  /// Null makes run() build a private one - results, compat counters
-  /// included, are identical.
+  /// overlay instance, and coverage and pruning read its frozen graph.
+  /// Null makes run() build a private one - results are identical.
   SyRustDriver(const crates::CrateSpec &Spec, RunConfig Config,
                obs::Recorder *Obs = nullptr,
                std::shared_ptr<const CrateAnalysis> Analysis = nullptr)

@@ -22,7 +22,8 @@
 /// metrics-only recorder, which every campaign worker uses, costs counter
 /// increments (name lookups allocate nothing once a metric exists) and
 /// builds no events: the per-candidate and per-rebuild call sites build
-/// event arguments only when tracing() is true.
+/// event arguments only when tracing() is true. Campaign workers also
+/// turn snapshots off, so they render no snapshot lines either.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -227,12 +228,17 @@ public:
     /// Trace lane (`tid`) for every event; campaign workers get their
     /// worker id here so merged traces show one track per worker.
     int Lane = 0;
+    /// Render and keep a JSONL line per snapshotMetrics() call
+    /// (MetricsRegistry::jsonl()). Off for owners that read only the
+    /// counters, such as campaign workers.
+    bool Snapshots = true;
   };
 
-  Recorder() : TraceOn(true), MetricsOn(true), Trace(false) {}
+  Recorder() : TraceOn(true), MetricsOn(true), SnapshotsOn(true),
+               Trace(false) {}
   explicit Recorder(Options O)
       : TraceOn(O.Trace), MetricsOn(O.Metrics),
-        Trace(O.WallClock, O.Lane) {}
+        SnapshotsOn(O.Metrics && O.Snapshots), Trace(O.WallClock, O.Lane) {}
 
   void bindClock(const SimClock *C) { Trace.bindClock(C); }
 
@@ -274,13 +280,14 @@ public:
       Metrics.histogram(Name).observe(V);
   }
   void snapshotMetrics(double AtSeconds) {
-    if (MetricsOn)
+    if (SnapshotsOn)
       Metrics.snapshot(AtSeconds);
   }
 
 private:
   bool TraceOn;
   bool MetricsOn;
+  bool SnapshotsOn;
   Tracer Trace;
   MetricsRegistry Metrics;
 };

@@ -112,9 +112,11 @@ MinimizedDisagreement syrust::oracle::minimizeDisagreement(
     // Move 2: rewire an argument to an earlier variable of the same
     // declared type. This unpins dependency chains so a later drop pass
     // can remove the now-unused producer line.
-    for (size_t I = 0; I < Min.Program.Stmts.size() && !Progress; ++I) {
-      Stmt &S = Min.Program.Stmts[I];
-      for (size_t J = 0; J < S.Args.size() && !Progress; ++J) {
+    // An accepted rewire replaces Min.Program, which frees the storage S
+    // points into: test !Progress before touching S again.
+    for (size_t I = 0; !Progress && I < Min.Program.Stmts.size(); ++I) {
+      const Stmt &S = Min.Program.Stmts[I];
+      for (size_t J = 0; !Progress && J < S.Args.size(); ++J) {
         const types::Type *Want = declaredType(Min.Program, S.Args[J]);
         for (VarId B = 0; B < S.Args[J]; ++B) {
           if (declaredType(Min.Program, B) != Want)
@@ -148,12 +150,10 @@ AuditResult syrust::oracle::auditOne(const Session &S,
   }
 
   // Exactly the driver's setup (SyRustDriver::run): an overlay of the
-  // crate's shared analysis, a cache chained onto its matrix and its
-  // frozen graph, so the enumeration the oracle audits is the
-  // enumeration real runs emit.
+  // crate's shared analysis and its frozen graph, so the enumeration the
+  // oracle audits is the enumeration real runs emit.
   std::shared_ptr<const CrateAnalysis> Analysis = S.analysisFor(*Spec);
   std::unique_ptr<CrateInstance> Inst = Analysis->makeWorkerInstance();
-  types::CompatCache Compat(&Analysis->baseCache());
   Rng R(Config.Seed ^ std::hash<std::string>{}(Spec->Info.Name));
   selectApis(*Inst, Config.NumApis, /*BiasGraph=*/nullptr, R);
 
@@ -167,7 +167,6 @@ AuditResult syrust::oracle::auditOne(const Session &S,
   Opts.IncrementalRefinement = true;
   Opts.SolverSeed = Config.Seed;
   Opts.Obs = Obs;
-  Opts.Compat = &Compat;
   Opts.WeakenConsumptionKills = Config.WeakenConsumptionKills;
   // The differential tap: every model the Rule-7 path filter swallows is
   // captured here and replayed through the checker alongside the

@@ -114,32 +114,17 @@ bool Encoding::wasLive(int Line, size_t Kk) const {
          PrevHadA[L][Kk] != 0;
 }
 
-bool Encoding::probeUnifiable2(const Type *Ty, const Type *Pattern) const {
-  if (Opts.Compat)
-    return Opts.Compat->unifiable2(Ty, Pattern);
-  Substitution Probe;
-  return unifiable(Ty, Pattern, Probe);
-}
-
-bool Encoding::probeJoint(const Type *T1, const Type *P1, const Type *T2,
-                          const Type *P2) const {
-  if (Opts.Compat)
-    return Opts.Compat->unifiableJoint(T1, P1, T2, P2);
-  Substitution Joint;
-  return unifiable(T1, P1, Joint) && unifiable(T2, P2, Joint);
-}
-
 bool Encoding::probeFeeds(ApiId Producer, const Type *Ty, size_t Kk,
                           size_t J) {
-  // Third probe arm: the frozen dependency graph holds the precomputed
-  // answer for (base producer, base consumer, slot) triples - one bit
-  // test instead of a cache lookup. Producer-less types (template
-  // inputs, builtin-derived) and refinement-added APIs (ids past the
-  // graph's node set - the run-local overlay the frozen graph does not
-  // cover) fall back to the cache/direct arm. All arms agree by
-  // construction: the graph's edge set is exactly the probe-success set
-  // over the same "a<ApiId>" renaming (DESIGN.md 5g), so this split
-  // cannot change which candidates exist.
+  // The frozen dependency graph holds the precomputed answer for (base
+  // producer, base consumer, slot) triples - one bit test instead of a
+  // unification. Producer-less types (template inputs, builtin-derived)
+  // and refinement-added APIs (ids past the graph's node set - the
+  // run-local overlay the frozen graph does not cover) fall back to
+  // direct unification. Both arms agree by construction: the graph's
+  // edge set is exactly the probe-success set over the same "a<ApiId>"
+  // renaming (DESIGN.md 5g), so this split cannot change which
+  // candidates exist.
   if (Opts.GraphPrune && Opts.Graph && Producer != ApiIdInvalid &&
       static_cast<size_t>(Producer) < Opts.Graph->numNodes() &&
       static_cast<size_t>(Active[Kk]) < Opts.Graph->numNodes()) {
@@ -148,7 +133,8 @@ bool Encoding::probeFeeds(ApiId Producer, const Type *Ty, size_t Kk,
                                static_cast<int>(J));
   }
   ++Prune.FallbackProbes;
-  return probeUnifiable2(Ty, RenIn[Kk][J]);
+  Substitution Probe;
+  return unifiable(Ty, RenIn[Kk][J], Probe);
 }
 
 void Encoding::addGuarded(std::vector<Lit> Lits) {
@@ -548,8 +534,11 @@ void Encoding::buildContextConstraints() {
                   !C1.Ty->isSharedRef()) {
                 Compatible = false; // Rule 4: no owned/mut aliasing.
               } else {
-                Compatible = probeJoint(C1.Ty, RenIn[Kk][J1], C2.Ty,
-                                        RenIn[Kk][J2]);
+                // Both slots under one shared substitution: they may
+                // share renamed signature variables.
+                Substitution Joint;
+                Compatible = unifiable(C1.Ty, RenIn[Kk][J1], Joint) &&
+                             unifiable(C2.Ty, RenIn[Kk][J2], Joint);
               }
               if (!Compatible)
                 Solver.addClause(mkLit(C1.U, true), mkLit(C2.U, true));

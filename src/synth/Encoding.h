@@ -51,7 +51,7 @@
 #include "obs/Recorder.h"
 #include "program/Program.h"
 #include "sat/Solver.h"
-#include "types/CompatCache.h"
+#include "synth/E2eShims.h"
 #include "types/Subtyping.h"
 #include "types/TraitEnv.h"
 
@@ -66,7 +66,7 @@
 namespace syrust::synth {
 
 /// Feature toggles and tuning for the encoder/synthesizer.
-struct SynthOptions {
+struct SynthOptions : SynthOptionsShim {
   /// Section 4.4 + 4.7 constraints (ownership, lifetimes, borrows,
   /// redundancy). Off = the RQ2 ablation variant.
   bool SemanticAware = true;
@@ -84,29 +84,19 @@ struct SynthOptions {
   /// Conflict budget per solve (0 = unlimited).
   uint64_t SolveConflictBudget = 200000;
   uint64_t SolverSeed = 1;
-  /// Read by nothing; kept only so e2ebench compiles. Must stay default.
-  bool Portfolio = false;
-  std::string Strategy;
   /// Flight recorder for trace events and metrics; null (the default)
   /// disables instrumentation at the cost of one pointer check.
   obs::Recorder *Obs = nullptr;
-  /// Memoized compatibility kernel consulted for the encoder's
-  /// unifiability probes; null computes every probe directly (the
-  /// reference arm benches and tests compare against). Every driver run
-  /// chains a per-run cache onto the crate's shared precomputed matrix
-  /// (core::CrateAnalysis). Cached and direct answers are identical by
-  /// construction, so enumeration order does not depend on this setting.
-  types::CompatCache *Compat = nullptr;
   /// Frozen per-crate API dependency graph consulted for producer ->
   /// consumer slot probes when GraphPrune is on; null always takes the
-  /// Compat/direct fallback. The graph's edge set is by construction
-  /// exactly the set of (producer, consumer, slot) triples whose
-  /// unifiable2 probe succeeds (DESIGN.md 5g), so the graph and
+  /// direct-unification fallback. The graph's edge set is by
+  /// construction exactly the set of (producer, consumer, slot) triples
+  /// whose unification probe succeeds (DESIGN.md 5g), so the graph and
   /// fallback arms return identical answers and enumeration order does
   /// not depend on this setting.
   const api::DependencyGraph *Graph = nullptr;
   /// Answer candidate probes with Graph's O(1) bitset rows instead of
-  /// CompatCache lookups (off is the reference arm for benches and
+  /// direct unification (off is the reference arm for benches and
   /// tests). Only the probe *mechanism* switches: program streams are
   /// byte-identical on/off; only throughput and the prune.* probe-split
   /// counters change. Dead-site elimination is structural and applies in
@@ -144,11 +134,11 @@ struct SynthOptions {
 /// numbers do not - elimination runs in both modes.
 struct PruneStats {
   /// Probes answered by the dependency graph's bitset rows - each one a
-  /// CompatCache lookup avoided.
+  /// unification avoided.
   uint64_t GraphProbes = 0;
-  /// Probes answered by the CompatCache / direct-unification fallback
-  /// (graph off, no frozen producer, or a refinement-added API outside
-  /// the frozen graph's node set).
+  /// Probes answered by direct unification (graph off, no frozen
+  /// producer, or a refinement-added API outside the frozen graph's node
+  /// set).
   uint64_t FallbackProbes = 0;
   /// Call sites never materialized because an input slot had zero
   /// candidates (dead-API elimination).
@@ -313,17 +303,10 @@ private:
   /// current sync (distinguishes revived dead sites and brand-new APIs,
   /// which need full emission, from live sites, which only append).
   bool wasLive(int Line, size_t Kk) const;
-  /// The three probe arms behind one face (identical answers each):
-  /// pair compatibility via cache or direct unification...
-  bool probeUnifiable2(const types::Type *Ty,
-                       const types::Type *Pattern) const;
-  /// ...joint two-slot compatibility via cache or a shared direct
-  /// substitution...
-  bool probeJoint(const types::Type *T1, const types::Type *P1,
-                  const types::Type *T2, const types::Type *P2) const;
-  /// ...and the candidate probe "can (X typed Ty, produced by Producer)
+  /// The candidate probe "can (X typed Ty, produced by Producer)
   /// feed slot J of site Kk", answered by the dependency graph's bitset
-  /// when GraphPrune covers the triple and by probeUnifiable2 otherwise.
+  /// when GraphPrune covers the triple and by direct unification
+  /// otherwise.
   bool probeFeeds(api::ApiId Producer, const types::Type *Ty, size_t Kk,
                   size_t J);
   /// Adds a closure-sensitive clause under the current generation guard

@@ -43,7 +43,7 @@
 namespace syrust::synth {
 
 /// Aggregate synthesis statistics.
-struct SynthStats {
+struct SynthStats : SynthStatsShim {
   uint64_t Emitted = 0;
   uint64_t PathFiltered = 0;
   /// Programs re-emitted by the solver and dropped via the hash set. With
@@ -70,14 +70,6 @@ struct SynthStats {
   double BuildSeconds = 0;
   double SolveSeconds = 0;
   int CurrentLength = 0;
-  /// Compatibility-kernel memo outcome (all zero when the cache is off).
-  /// Hits answered from the run's own cache, BaseHits from the shared
-  /// per-crate matrix, Misses computed fresh. Filled by the driver, which
-  /// owns the cache; the synthesizer only consumes it through
-  /// SynthOptions::Compat.
-  uint64_t CompatHits = 0;
-  uint64_t CompatBaseHits = 0;
-  uint64_t CompatMisses = 0;
   /// Encoding-build pruning outcomes summed over all encodings this
   /// synthesizer ever owned (synth::PruneStats). The graph/fallback
   /// probe split reflects the GraphPrune setting; dead-site elimination

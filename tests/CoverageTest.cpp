@@ -6,7 +6,6 @@
 
 #include "coverage/ApiPairCoverage.h"
 #include "coverage/CoverageMap.h"
-#include "types/CompatCache.h"
 #include "types/TypeParser.h"
 
 #include <gtest/gtest.h>
@@ -119,10 +118,7 @@ protected:
     return Db.add(std::move(Sig));
   }
 
-  api::DependencyGraph build() {
-    CompatCache Cache;
-    return buildDependencyGraph(Db, Arena, Cache);
-  }
+  api::DependencyGraph build() { return buildDependencyGraph(Db, Arena); }
 
   /// `let v1 = Vec::new(); Vec::push(m, v1)` over one template input m —
   /// the fresh Vec flows into Push's type-variable slot, realizing

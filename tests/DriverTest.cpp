@@ -188,8 +188,7 @@ TEST(DriverTest, BiasedSelectionWeightsNeverCoveredDegree) {
   Loner.Inputs.push_back(Parser.parse("usize"));
   Loner.Output = Parser.parse("bool");
   Db.add(std::move(Loner));
-  types::CompatCache Cache;
-  api::DependencyGraph Graph = api::buildDependencyGraph(Db, Arena, Cache);
+  api::DependencyGraph Graph = api::buildDependencyGraph(Db, Arena);
   ASSERT_EQ(Graph.numEdges(), 1u);
 
   ApiSelectionOptions Plain;

@@ -113,9 +113,8 @@ TEST(CoverageReportTest, NeverCoveredListingIsDegreeRankedAndPinned) {
   Add("mk", nullptr, "String");
   Add("use1", "String", "bool");
   Add("use2", "String", "String");
-  syrust::types::CompatCache Cache;
   syrust::api::DependencyGraph Graph =
-      syrust::api::buildDependencyGraph(Db, Arena, Cache);
+      syrust::api::buildDependencyGraph(Db, Arena);
   ASSERT_EQ(Graph.numEdges(), 4u);
 
   ApiCoverageEntry E;

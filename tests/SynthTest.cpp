@@ -8,7 +8,6 @@
 #include "rustsim/Checker.h"
 #include "synth/SeenPrograms.h"
 #include "synth/Synthesizer.h"
-#include "types/CompatCache.h"
 #include "types/TypeParser.h"
 
 #include <gtest/gtest.h>
@@ -689,9 +688,7 @@ PrunedRun runGraphScripted(bool GraphPrune, bool Incremental) {
   Add("g", {"Token"}, "usize");
   Add("h", {"Vec<String>"}, "usize");
   Add("lone", {"u8"}, "IoHandle");
-  types::CompatCache Scratch;
-  api::DependencyGraph Graph =
-      api::buildDependencyGraph(Db, Arena, Scratch);
+  api::DependencyGraph Graph = api::buildDependencyGraph(Db, Arena);
   std::vector<TemplateInput> Inputs = {{"s", Parser.parse("String")},
                                        {"v", Parser.parse("Vec<String>")}};
   SynthOptions Opts;
@@ -762,9 +759,7 @@ TEST_F(SynthFixture, DeadLengthRevivalWithPrunedEncodings) {
   // line-2 site materializes only now.
   addApi("mk", {"String"}, "Token");
   addApi("eat", {"Token"}, "usize");
-  types::CompatCache Scratch;
-  api::DependencyGraph Graph =
-      api::buildDependencyGraph(Db, Arena, Scratch);
+  api::DependencyGraph Graph = api::buildDependencyGraph(Db, Arena);
   SynthOptions Opts;
   Opts.InterleaveLengths = true;
   Opts.Graph = &Graph;
